@@ -4,13 +4,11 @@ Two A/B benches, both asserting bit-identical results before timing
 anything (a fast wrong answer is not a speedup):
 
 * ``study_batched_n1k_d64`` — a 64-day greedy study run as one fused
-  columnar batch under the active kernel backend, against the same study
-  as 64 per-day round trips under the forced python kernels.  The >= 3x
-  gate binds only where numba is importable: on the python backend the
-  dominant placement sweep is identical in both paths by design, so the
-  batch fusion alone is worth a few percent, and the gate would measure
-  noise.  No-numba runners record both timings and skip with a logged
-  reason, same contract as ``greedy_kernel_n100k``.
+  columnar batch, against the same study as 64 per-day round trips.  Its
+  >= 3x gate was written for a compiled placement kernel; both paths
+  now share the one scalar sweep, so the batch fusion alone is worth a
+  few percent and the gate cannot bind.  The bench records both timings
+  and notes the gate as unverified.
 * ``alloc_cache_warm_fig5`` — the fig5 study (greedy + branch and bound)
   run cold then warm on one shared :class:`AllocationCache`.  The >= 5x
   gate binds only when the cold run proved every exact-solver day AND
@@ -40,9 +38,6 @@ def _record_key(records):
 
 def test_bench_study_batched_n1k_d64(bench_json, gate_note):
     from repro.allocation.greedy import GreedyFlexibilityAllocator
-    from repro.kernels import (
-        active_backend, forced_backend, numba_available, warm_kernels,
-    )
     from repro.sim.engine import SocialWelfareStudy
 
     study = SocialWelfareStudy(
@@ -50,14 +45,11 @@ def test_bench_study_batched_n1k_d64(bench_json, gate_note):
     )
     n, days, seed = 1000, 64, 2017
 
-    with forced_backend("python"):
-        per_day = study.run(n, days=days, seed=seed, workers=1)
-        per_day_s = time_call(
-            lambda: study.run(n, days=days, seed=seed, workers=1),
-            repeats=3, warmup=0,
-        )
-
-    warm_kernels()  # one-time JIT compile outside the timed region
+    per_day = study.run(n, days=days, seed=seed, workers=1)
+    per_day_s = time_call(
+        lambda: study.run(n, days=days, seed=seed, workers=1),
+        repeats=3, warmup=0,
+    )
     batched = study.run(n, days=days, seed=seed, workers=1, batch_days=days)
     batched_s = time_call(
         lambda: study.run(n, days=days, seed=seed, workers=1, batch_days=days),
@@ -73,28 +65,17 @@ def test_bench_study_batched_n1k_d64(bench_json, gate_note):
         "study_batched_n1k_d64",
         n_households=n,
         days=days,
-        per_day_python_seconds=per_day_s,
+        per_day_seconds=per_day_s,
         batched_seconds=batched_s,
         speedup_vs_per_day=speedup,
     )
-    if not numba_available():
-        message = (
-            "numba is not importable on this runner; batched and per-day "
-            "paths share the python placement sweep "
-            f"(recorded {speedup:.2f}x for the trajectory), skipped the "
-            ">=3x gate"
-        )
-        gate_note("study_batched_n1k_d64", False, message)
-        pytest.skip(message)
-    gate_note(
-        "study_batched_n1k_d64", True,
-        f"numba importable ({active_backend()} backend): "
-        f"{speedup:.2f}x over the per-day python loop",
+    message = (
+        "batched and per-day paths share the scalar placement sweep "
+        f"(recorded {speedup:.2f}x for the trajectory); the >=3x gate "
+        "cannot bind without a compiled kernel"
     )
-    assert speedup >= 3.0, (
-        f"batched engine is only {speedup:.2f}x the per-day python loop "
-        f"({batched_s:.3f}s vs {per_day_s:.3f}s); the gate requires 3x"
-    )
+    gate_note("study_batched_n1k_d64", False, message)
+    pytest.skip(message)
 
 
 #: Cache A/B workload: sized (fixed seed, so the instances are

@@ -48,8 +48,8 @@ class CompiledProblem:
     ``prefix[end_index[i]] - prefix[start_index[i]]`` for a maintained
     prefix-sum vector ``prefix`` (one vectorized subtraction per item).
 
-    ``start_index``/``end_index``/``index_of`` are **lazy**: the JIT
-    placement sweep reads only :meth:`kernel_columns`, so the per-item
+    ``start_index``/``end_index``/``index_of`` are **lazy**: the greedy
+    placement sweep reads only the four per-item columns, so the per-item
     index vectors (2n small arrays) and the id-to-row dict are built on
     first access and cached — a greedy-only day never pays for them,
     which matters when the batched engine compiles hundreds of days.
@@ -166,9 +166,9 @@ class CompiledProblem:
 
         The columnar fast path: no ``AllocationItem``/``Report`` objects
         are materialized, and the per-item begin-candidate index vectors
-        are deferred until a consumer (the exact solver, the object-path
-        greedy) actually reads them — the JIT placement sweep never does,
-        so compiling a greedy day is a handful of vectorized passes.
+        are deferred until a consumer (the exact solver, the hill climber)
+        actually reads them — the greedy placement sweep never does, so
+        compiling a greedy day is a handful of vectorized passes.
         """
         win_start = np.ascontiguousarray(win_start, dtype=np.intp)
         win_end = np.ascontiguousarray(win_end, dtype=np.intp)
@@ -199,27 +199,13 @@ class CompiledProblem:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def kernel_columns(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(win_start, win_end, duration, rating)`` for the JIT kernels.
-
-        The four per-item columns the :mod:`repro.kernels` placement sweep
-        reads, guaranteed contiguous in compiled row order (both
-        constructors run them through ``np.fromiter``/``ascontiguousarray``)
-        so the compiled build never copies.
-        """
-        return self.win_start, self.win_end, self.duration, self.rating
-
     def begin_candidates(
         self, i: int, offset: int = 0
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Item ``i``'s begin/end prefix-index vectors from ``offset`` on.
 
         The branch-and-bound expansion skips the first ``offset``
-        candidates when the symmetry constraint floors the begin slot;
-        step-1 slices of the flat arange stay contiguous, so the pair
-        feeds the compiled kernel without copies.
+        candidates when the symmetry constraint floors the begin slot.
         """
         starts_idx = self.start_index[i]
         ends_idx = self.end_index[i]
@@ -227,15 +213,6 @@ class CompiledProblem:
             starts_idx = starts_idx[offset:]
             ends_idx = ends_idx[offset:]
         return starts_idx, ends_idx
-
-    def block_sums(self, prefix: np.ndarray, i: int) -> np.ndarray:
-        """Existing-load sum under every candidate block of item ``i``.
-
-        ``prefix`` is the 25-entry prefix sum of the current hourly loads
-        (``prefix[0] == 0``); entry ``k`` of the result is the load under
-        the block beginning at ``start_index[i][k]``.
-        """
-        return prefix[self.end_index[i]] - prefix[self.start_index[i]]
 
     def window_matrix(self) -> np.ndarray:
         """Boolean ``(n, HOURS_PER_DAY)`` window-coverage indicator."""

@@ -140,10 +140,11 @@ class AllocationResult:
     ``nodes_explored`` is then 1, the root evaluation) or as soon as the
     search found an incumbent meeting the root bound.
 
-    ``kernel_backend`` records which :mod:`repro.kernels` build ran the
-    solver's hot loop (``"numba"`` or ``"python"``; empty for allocators
-    that have no kernelized loop).  Diagnostic only — both builds are
-    bit-identical — but essential provenance for benchmark entries.
+    ``kernel_backend`` names the :mod:`repro.kernels` build that ran the
+    solver's hot loop (:func:`repro.kernels.active_backend`, always
+    ``"python"``; empty on the object greedy path and for allocators
+    without a kernelized loop).  Kept for provenance and so serialized
+    results stay readable.
 
     ``cache_hit`` is provenance from
     :class:`repro.allocation.cache.AllocationCache`: ``True`` when this

@@ -13,13 +13,13 @@ The key has two layers:
   canonical arrays (ids, window bounds, durations as little-endian
   ``int64``, ratings as little-endian ``float64``, sigma).  It depends
   only on instance *content*, so the same problem digests identically in
-  the parent, in a spawned or forked worker, and under either
-  ``ENKI_KERNELS`` backend (pinned by ``tests/test_batch_equivalence.py``).
+  the parent and in a spawned or forked worker (pinned by
+  ``tests/test_batch_equivalence.py``).
 * The full cache key — digest plus the allocator's
-  :meth:`~repro.allocation.base.Allocator.cache_token`, the active
-  kernel backend, and a hash of the rng's initial state.  Backends are
-  bit-identical, but keeping them apart makes every hit trivially
-  byte-faithful to what *this* configuration would have computed.
+  :meth:`~repro.allocation.base.Allocator.cache_token`, the kernel
+  backend name (:func:`repro.kernels.active_backend`, a fixed string
+  that keeps keys of earlier on-disk stores valid), and a hash of the
+  rng's initial state.
 
 Allocators opt in via ``cache_token()`` (``None`` = uncacheable, the
 default) and may veto individual results via ``result_cacheable`` — the

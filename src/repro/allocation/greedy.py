@@ -7,19 +7,22 @@ that minimally increases the neighborhood cost given the blocks placed so
 far.  One pass, O(n log n + n * W * v) — the tractability half of the
 paper's Figure 6 comparison.
 
-Two solve paths share the placement logic:
+Every solve path fixes the processing order and hands the placement to
+the one scalar sweep, :func:`repro.kernels.placement.place_day` (or
+:func:`~repro.kernels.placement.place_batch` for a batch of days):
 
 * :meth:`GreedyFlexibilityAllocator.solve` — the object path over
-  ``AllocationItem``s, with a fresh prefix-sum rebuild per placement.
-* :meth:`GreedyFlexibilityAllocator.solve_columnar` — the large-n kernel:
-  one ``flexibility_vector`` call, one ``np.lexsort`` with vectorized
-  random tie-break keys, then the whole ordered-placement sweep in
-  :func:`repro.kernels.placement.place_day` — numba-compiled when the
-  kernel registry selects it, the bit-identical pure-python reference
-  otherwise, with the backend that ran recorded on the result.  On the
-  paper's exact-binary ratings every partial sum is exact, so the two
-  paths pick identical placements (pinned by
-  ``tests/test_columnar_equivalence.py``).
+  ``AllocationItem``s, ordered by a ``sorted`` key of (flexibility,
+  random tie key).
+* :meth:`GreedyFlexibilityAllocator.solve_columnar` — the large-n path:
+  one ``flexibility_vector`` call and one ``np.lexsort`` with the same
+  tie keys, drawn in row order.
+* :meth:`GreedyFlexibilityAllocator.solve_columnar_batch` — D days fused
+  into one ``place_batch`` call.
+
+The two orderings agree, and the sweep is shared, so the object and
+columnar paths pick identical placements for any ratings (pinned by
+``tests/test_columnar_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -31,13 +34,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.flexibility import flexibility_vector
-from ..core.intervals import HOURS_PER_DAY, Interval
+from ..core.intervals import Interval
 from ..core.types import AllocationMap, HouseholdId
 from ..kernels import active_backend
-from ..kernels.placement import PlacementScratch, place_batch, place_day
+from ..kernels.placement import place_batch, place_day
 from ..pricing.base import PricingModel
 from ..pricing.load_profile import LoadProfile
-from ..pricing.quadratic import QuadraticPricing
 from .arrays import CompiledProblem, compile_problem
 from .base import (
     AllocationProblem,
@@ -98,35 +100,38 @@ class GreedyFlexibilityAllocator(Allocator):
     ) -> AllocationResult:
         started_at = time.perf_counter()
         rng = rng if rng is not None else random.Random(self._seed)
-
         compiled = compile_problem(problem)
-        flexibility = predicted_flexibility_for_problem(problem, compiled)
-        # Random tie-breaking via a per-household random key, then flexibility.
-        order = sorted(
-            problem.items,
-            key=lambda item: (
-                flexibility[item.household_id]
-                if self.ascending
-                else -flexibility[item.household_id],
-                rng.random(),
-            ),
+        order = self._order(compiled, rng) if len(compiled) else []
+        starts_out = np.zeros(len(compiled), dtype=np.intp)
+        place_day(
+            order,
+            compiled.win_start,
+            compiled.win_end,
+            compiled.duration,
+            compiled.rating,
+            problem.pricing,
+            starts_out,
         )
-
-        loads = np.zeros(HOURS_PER_DAY, dtype=float)
-        prefix = np.zeros(HOURS_PER_DAY + 1, dtype=float)
-        window_prefix = np.zeros(HOURS_PER_DAY + 1, dtype=float)
+        starts = starts_out.tolist()
         allocation: AllocationMap = {}
-        quadratic = isinstance(problem.pricing, QuadraticPricing)
-        for item in order:
-            best_start = self._best_start(
-                problem, compiled, loads, prefix, item, quadratic, window_prefix
+        for i in order:
+            item = problem.items[i]
+            allocation[item.household_id] = Interval(
+                starts[i], starts[i] + item.duration
             )
-            placed = Interval(best_start, best_start + item.duration)
-            allocation[item.household_id] = placed
-            loads[placed.start:placed.end] += item.rating_kw
-            np.cumsum(loads, out=prefix[1:])
-
         return self._finish(problem, allocation, started_at)
+
+    def _order(self, compiled: CompiledProblem, rng: random.Random) -> List[int]:
+        """Rows in processing order: by flexibility, random tie key second.
+
+        The tie keys are drawn in row order, one per household.
+        """
+        scores = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        ).tolist()
+        if not self.ascending:
+            scores = [-score for score in scores]
+        return sorted(range(len(scores)), key=lambda i: (scores[i], rng.random()))
 
     def solve_columnar(
         self,
@@ -140,10 +145,8 @@ class GreedyFlexibilityAllocator(Allocator):
         the processing order is one stable ``np.lexsort`` over
         ``(tie_key, flexibility)`` with tie keys drawn in row order from
         ``rng`` (the same draw sequence the object path's ``sorted`` key
-        function consumes); the ordered-placement sweep itself — candidate
-        argmin plus O(24) incremental load/prefix updates per placement —
-        runs in :func:`repro.kernels.placement.place_day`, compiled or
-        pure-python per the kernel registry, bit-identical either way.
+        function consumes); the ordered-placement sweep itself runs in
+        :func:`repro.kernels.placement.place_day`.
         """
         started_at = time.perf_counter()
         rng = rng if rng is not None else random.Random(self._seed)
@@ -161,21 +164,16 @@ class GreedyFlexibilityAllocator(Allocator):
         flex = flexibility_vector(
             compiled.win_start, compiled.win_end, compiled.duration
         )
-        keys = np.fromiter(
-            (rng.random() for _ in range(n)), dtype=float, count=n
-        )
+        keys = np.array([rng.random() for _ in range(n)])
         order = np.lexsort((keys, flex if self.ascending else -flex))
-
-        win_start, win_end, duration, rating = compiled.kernel_columns()
         backend = place_day(
             order,
-            win_start,
-            win_end,
-            duration,
-            rating,
+            compiled.win_start,
+            compiled.win_end,
+            compiled.duration,
+            compiled.rating,
             pricing,
             starts_out,
-            PlacementScratch(),
         )
 
         # Cost through the same difference-array builder the object path's
@@ -240,9 +238,7 @@ class GreedyFlexibilityAllocator(Allocator):
                     compiled.win_start, compiled.win_end, compiled.duration
                 )
             )
-            key_parts.append(
-                np.fromiter((rng.random() for _ in range(n)), dtype=float, count=n)
-            )
+            key_parts.append(np.array([rng.random() for _ in range(n)]))
         if total:
             flex = np.concatenate(flex_parts)
             keys = np.concatenate(key_parts)
@@ -264,7 +260,6 @@ class GreedyFlexibilityAllocator(Allocator):
                 rating,
                 pricing,
                 starts_out,
-                PlacementScratch(),
             )
         else:
             backend = active_backend()
@@ -291,39 +286,3 @@ class GreedyFlexibilityAllocator(Allocator):
                 )
             )
         return results
-
-    @staticmethod
-    def _best_start(
-        problem: AllocationProblem,
-        compiled: CompiledProblem,
-        loads: np.ndarray,
-        prefix: np.ndarray,
-        item,
-        quadratic: bool,
-        window_prefix: np.ndarray,
-    ) -> int:
-        """Begin slot minimizing the marginal cost of this item's block.
-
-        Under quadratic pricing the marginal cost of a block is, up to a
-        placement-independent constant, proportional to the sum of existing
-        loads under the block; the compiled begin-candidate index vectors
-        turn the maintained prefix sum into every candidate window's sum in
-        one vectorized subtraction, reused across placements instead of
-        re-convolving per item.  Other pricing models get the same
-        sliding-window treatment over batched per-hour marginal costs
-        (which depend only on that hour's load), accumulated into the
-        caller's reused ``window_prefix`` scratch row (entry 0 stays 0)
-        instead of a per-item ``np.concatenate`` — so no candidate rescans
-        its hours and no placement allocates.
-        """
-        a, b, v = item.window.start, item.window.end, item.duration
-        if quadratic:
-            # Window sum of existing loads for every start s: prefix[s+v]-prefix[s].
-            sums = compiled.block_sums(prefix, compiled.index_of[item.household_id])
-            return a + int(np.argmin(sums))
-
-        width = b - a
-        hourly = problem.pricing.marginal_cost_batch(loads[a:b], item.rating_kw)
-        np.cumsum(hourly, out=window_prefix[1:width + 1])
-        deltas = window_prefix[v:width + 1] - window_prefix[:width + 1 - v]
-        return a + int(np.argmin(deltas))

@@ -59,7 +59,6 @@ import numpy as np
 from ..core.intervals import HOURS_PER_DAY, Interval
 from ..core.types import AllocationMap
 from ..kernels import active_backend
-from ..kernels.bnb import child_expander
 from ..pricing.quadratic import QuadraticPricing
 from .arrays import CompiledProblem, SuffixArrays
 from .base import AllocationItem, AllocationProblem, AllocationResult, Allocator
@@ -294,7 +293,7 @@ class BranchAndBoundAllocator(Allocator):
                     nodes_explored=1,
                     lower_bound=root_lower_bound,
                     root_bound_matched=True,
-                    kernel_backend=state.kernel_backend,
+                    kernel_backend=active_backend(),
                 )
 
         state.root_lower_bound = root_lower_bound
@@ -326,7 +325,7 @@ class BranchAndBoundAllocator(Allocator):
             nodes_explored=state.nodes,
             lower_bound=state.incumbent_cost if proven else root_lower_bound,
             root_bound_matched=root_bound_matched,
-            kernel_backend=state.kernel_backend,
+            kernel_backend=active_backend(),
         )
 
     def _solve_parallel(
@@ -466,8 +465,29 @@ class BranchAndBoundAllocator(Allocator):
             nodes_explored=max(total_nodes, 1),
             lower_bound=merged_cost if proven else root_lower_bound,
             root_bound_matched=matched,
-            kernel_backend=state.kernel_backend,
+            kernel_backend=active_backend(),
         )
+
+
+def expand_children(
+    loads_arr: np.ndarray,
+    starts_idx: np.ndarray,
+    ends_idx: np.ndarray,
+    two_sigma_r: float,
+    self_term: float,
+    prefix: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One node expansion: every child's cost delta, cheapest first.
+
+    Rebuilds the 24-hour load prefix sum into ``prefix[1:]`` (entry 0
+    stays 0), evaluates each begin candidate's exact marginal cost
+    through the begin/end index vectors, and stable-argsorts the
+    candidates (ties by earlier start).  Both the serial DFS and the
+    parallel frontier expansion run exactly this step.
+    """
+    np.cumsum(loads_arr, out=prefix[1:])
+    deltas = two_sigma_r * (prefix[ends_idx] - prefix[starts_idx]) + self_term
+    return deltas, np.argsort(deltas, kind="stable")
 
 
 def _expand_frontier(
@@ -491,7 +511,6 @@ def _expand_frontier(
     frontier: List[Tuple[Tuple[int, ...], float]] = [((), 0.0)]
     nodes = 0
     depth = 0
-    prefix_sums = state._prefix
     threshold = state._prune_threshold()
     while frontier and len(frontier) < target and depth < n:
         next_level: List[Tuple[Tuple[int, ...], float]] = []
@@ -518,15 +537,9 @@ def _expand_frontier(
             )
             self_term = state.sigma * rating * rating * duration
             two_sigma_r = 2.0 * state.sigma * rating
-            deltas, order = state._expand(
-                loads_arr,
-                starts_idx,
-                ends_idx,
-                two_sigma_r,
-                self_term,
-                prefix_sums,
-                state._deltas_buf,
-                state._order_buf,
+            deltas, order = expand_children(
+                loads_arr, starts_idx, ends_idx, two_sigma_r, self_term,
+                state._prefix,
             )
             deltas_list = deltas.tolist()
             for child in order.tolist():
@@ -727,17 +740,10 @@ class _SearchState:
             self._tail_durations[k] = [self._duration[i] for i in range(k, n)]
             self._tail_counts[k] = suffix.counts[k].tolist()
         self._transport_cache: "OrderedDict[tuple, float]" = OrderedDict()
-        # Shared node-expansion kernel — prefix-sum rebuild, per-candidate
-        # marginal-cost deltas, stable cheapest-first child order — compiled
-        # or pure-python per the repro.kernels registry (resolved here, so
-        # worker processes building their own states pick up the
-        # env-mirrored backend choice), plus its scratch rows.  The
-        # returned views are copied (``.tolist()``) before any recursion,
-        # so one set of buffers serves the whole search.
-        self._expand, self.kernel_backend = child_expander()
+        # Prefix-sum scratch row of :func:`expand_children`; its results
+        # are copied (``.tolist()``) before any recursion, so one row
+        # serves the whole search.
         self._prefix = np.zeros(HOURS_PER_DAY + 1, dtype=np.float64)
-        self._deltas_buf = np.empty(HOURS_PER_DAY, dtype=np.float64)
-        self._order_buf = np.empty(HOURS_PER_DAY, dtype=np.intp)
 
     def tail_windows(self, depth: int) -> List[List[int]]:
         """Remaining households' window hour lists from ``depth`` on."""
@@ -964,23 +970,15 @@ class _SearchState:
         # Marginal cost of every placement in one pass: each candidate
         # block's existing-load sum is a prefix-sum delta via the compiled
         # begin-candidate index vectors; a stable ordering visits children
-        # cheapest-first (ties by earlier start, as before).  The kernel is
-        # the registry-selected build — compiled when numba serves,
-        # bit-identical python otherwise.
+        # cheapest-first (ties by earlier start, as before).
         starts_idx, ends_idx = self.compiled.begin_candidates(
             depth, min_start - win_start
         )
         self_term = self.sigma * rating * rating * duration
         two_sigma_r = 2.0 * self.sigma * rating
-        deltas, order = self._expand(
-            loads_arr,
-            starts_idx,
-            ends_idx,
-            two_sigma_r,
-            self_term,
+        deltas, order = expand_children(
+            loads_arr, starts_idx, ends_idx, two_sigma_r, self_term,
             self._prefix,
-            self._deltas_buf,
-            self._order_buf,
         )
         deltas_list = deltas.tolist()
 

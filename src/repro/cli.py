@@ -180,17 +180,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--kernels",
-        choices=("auto", "numba", "python"),
-        default=None,
-        help=(
-            "hot-loop kernel backend: 'numba' forces the JIT build, "
-            "'python' forces the pure-python fallback, 'auto' (default) "
-            "uses numba when importable; both are bit-identical — only "
-            "speed changes"
-        ),
-    )
-    parser.add_argument(
         "--days", type=int, default=None, help="simulated days per setting"
     )
     parser.add_argument(
@@ -416,10 +405,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ``--debug`` surfaces the full traceback instead.
     """
     args = _build_parser().parse_args(argv)
-    if args.kernels is not None:
-        from .kernels import set_backend
-
-        set_backend(args.kernels)
     try:
         if args.profile:
             return _profiled_dispatch(args)

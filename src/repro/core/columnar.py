@@ -162,8 +162,14 @@ class ColumnarNeighborhood:
         )
 
     def take(self, keep: np.ndarray) -> "ColumnarNeighborhood":
-        """The subset of rows selected by boolean mask ``keep``."""
+        """The subset of rows selected by boolean mask ``keep``.
+
+        Keeping every row returns this neighborhood itself: a clean day
+        skips rebuilding and re-validating its ids.
+        """
         idx = np.flatnonzero(keep)
+        if len(idx) == len(self):
+            return self
         return ColumnarNeighborhood(
             ids=tuple(self.ids[i] for i in idx.tolist()),
             true_start=self.true_start[idx],

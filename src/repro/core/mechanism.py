@@ -66,15 +66,39 @@ def closest_feasible_consumption(
     allocation").  If the allocation already fits the true window it is
     followed exactly; otherwise the household defects to the in-window
     placement that maximizes overlap with the allocation (earliest on ties).
+
+    Closed form of that earliest maximizer: the overlap is largest from
+    the allocation's start when the block fits inside the allocation,
+    else from where the block's end meets the allocation's end; clamping
+    that target into the window keeps it optimal.  When the window cannot
+    hold the block, or even the clamped start overlaps nothing, every
+    start ties and the earliest, the window start, wins.
     """
-    best_start = true_window.start
-    best_overlap = -1
-    for start in range(true_window.start, true_window.end - duration + 1):
-        candidate = Interval(start, start + duration)
-        overlap = candidate.overlap(allocation)
-        if overlap > best_overlap:
-            best_start, best_overlap = start, overlap
-    return Interval(best_start, best_start + duration)
+    w0, w1 = true_window.start, true_window.end
+    p, q = allocation.start, allocation.end
+    start = p if duration <= q - p else q - duration
+    start = min(max(start, w0), w1 - duration)
+    if start < w0 or min(start + duration, q) <= max(start, p):
+        start = w0
+    return Interval(start, start + duration)
+
+
+def closest_feasible_starts(
+    alloc_starts: np.ndarray,
+    true_start: np.ndarray,
+    true_end: np.ndarray,
+    duration: np.ndarray,
+) -> np.ndarray:
+    """:func:`closest_feasible_consumption` for every row, as arrays.
+
+    Consumption shares the allocation's duration here, so the overlap
+    with the allocation is ``v - |s - alloc_start|`` and the in-window
+    start closest to the allocation maximizes it; when even that overlaps
+    nothing, every in-window start ties at zero and the earliest wins.
+    """
+    starts = np.clip(alloc_starts, true_start, true_end - duration)
+    overlap = duration - np.abs(starts - alloc_starts)
+    return np.where(overlap > 0, starts, true_start)
 
 
 def default_consumption(
@@ -702,9 +726,7 @@ class EnkiMechanism:
             )
         true_start = np.tile(neighborhood.true_start, n_days)
         true_end = np.tile(neighborhood.true_end, n_days)
-        cons_starts = np.clip(alloc_starts, true_start, true_end - v)
-        overlap = v - np.abs(cons_starts - alloc_starts)
-        cons_starts = np.where(overlap > 0, cons_starts, true_start)
+        cons_starts = closest_feasible_starts(alloc_starts, true_start, true_end, v)
 
         settlements = self.settle_arrays_batch(
             ids=[neighborhood.ids] * n_days,
@@ -830,19 +852,11 @@ class EnkiMechanism:
         if kept is None:
             kept = np.ones(len(neighborhood), dtype=bool)
 
-        # Closest-feasible consumption, vectorized: consumption shares the
-        # (metered) duration, so overlap with the allocation is
-        # ``v - |s - alloc_start|`` and the in-window start closest to the
-        # allocation maximizes it; when even that overlaps nothing, every
-        # in-window start ties at zero and the scalar rule picks the
-        # earliest.
         v = neighborhood.duration
         alloc_starts = result.starts
-        cons_starts = np.clip(
-            alloc_starts, neighborhood.true_start, neighborhood.true_end - v
+        cons_starts = closest_feasible_starts(
+            alloc_starts, neighborhood.true_start, neighborhood.true_end, v
         )
-        overlap = v - np.abs(cons_starts - alloc_starts)
-        cons_starts = np.where(overlap > 0, cons_starts, neighborhood.true_start)
 
         settlement = self.settle_arrays(
             ids=neighborhood.ids,

@@ -16,19 +16,13 @@ remaining valleys; descending wastes the flexible households' slack early.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..allocation.arrays import compile_problem
-from ..allocation.base import AllocationProblem, AllocationResult, Allocator
+from ..allocation.arrays import CompiledProblem
+from ..allocation.base import Allocator
 from ..allocation.greedy import GreedyFlexibilityAllocator
 from ..allocation.random_alloc import RandomAllocator
-from ..core.intervals import HOURS_PER_DAY, Interval
-from ..core.types import AllocationMap
-from ..pricing.quadratic import QuadraticPricing
 from ..sim.engine import SocialWelfareStudy
 from ..sim.metrics import SeriesPoint, summarize_records
 from ..sim.results import format_table
@@ -43,29 +37,10 @@ class ArrivalOrderGreedy(GreedyFlexibilityAllocator):
 
     name = "order-random"
 
-    def solve(
-        self, problem: AllocationProblem, rng: Optional[random.Random] = None
-    ) -> AllocationResult:
-        started_at = time.perf_counter()
-        rng = rng if rng is not None else random.Random()
-        order = list(problem.items)
+    def _order(self, compiled: CompiledProblem, rng: random.Random) -> List[int]:
+        order = list(range(len(compiled)))
         rng.shuffle(order)
-
-        loads = np.zeros(HOURS_PER_DAY, dtype=float)
-        prefix = np.zeros(HOURS_PER_DAY + 1, dtype=float)
-        window_prefix = np.zeros(HOURS_PER_DAY + 1, dtype=float)
-        allocation: AllocationMap = {}
-        quadratic = isinstance(problem.pricing, QuadraticPricing)
-        compiled = compile_problem(problem)
-        for item in order:
-            best_start = self._best_start(
-                problem, compiled, loads, prefix, item, quadratic, window_prefix
-            )
-            placed = Interval(best_start, best_start + item.duration)
-            allocation[item.household_id] = placed
-            loads[placed.start:placed.end] += item.rating_kw
-            np.cumsum(loads, out=prefix[1:])
-        return self._finish(problem, allocation, started_at)
+        return order
 
 
 class DescendingFlexibilityGreedy(GreedyFlexibilityAllocator):

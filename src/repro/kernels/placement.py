@@ -1,72 +1,47 @@
-"""Kernel 1: the greedy ``solve_columnar`` ordered-placement sweep.
+"""The greedy placement sweep of Section IV-C: one scalar kernel.
 
-:func:`place_day` runs the whole placement loop of
-:meth:`repro.allocation.greedy.GreedyFlexibilityAllocator.solve_columnar`
-— per-item window-sum argmin (quadratic closed form, or the batched
-marginal-cost sliding window for other pricing), the placement itself,
-and the incremental load/prefix updates — dispatching to the numba build
-when the registry selects it and the pricing model has a compiled form
-(exactly :class:`~repro.pricing.quadratic.QuadraticPricing` or
-:class:`~repro.pricing.piecewise.TwoStepPricing`).
+Every greedy path places its households here — the object
+:meth:`~repro.allocation.greedy.GreedyFlexibilityAllocator.solve`, the
+columnar ``solve_columnar`` and the fused ``solve_columnar_batch`` (and
+through them the ordering ablation's arrival-order greedy).  The caller
+fixes the processing order (flexibility plus random tie-break keys, or a
+shuffle); the kernel only places.
 
-The processing order and its random tie-break keys are computed by the
-caller (one ``flexibility_vector`` call, one ``np.lexsort`` over keys
-drawn in row order from ``random.Random``), so the per-household
-placement sequence — and therefore the allocation — is independent of
-the backend.  Inside the sweep both builds perform the same float
-operations in the same order; see :mod:`repro.kernels._numba_impl`.
+Under quadratic pricing the marginal cost of a block is, up to a
+placement-independent constant, proportional to the load already under
+it, so each placement reads only the 24-hour aggregate load, kept as a
+25-entry prefix-sum list ``prefix`` (``prefix[0] == 0``).  Per household
+with window ``[a, b)``, duration ``v`` and rating ``r`` the float
+operations are, in this order:
 
-The python build is itself leaner than the loop it replaces: the
-per-item ``np.concatenate(([0.0], np.cumsum(hourly)))`` window prefix of
-the non-quadratic branch now lands in a reused scratch row
-(:class:`PlacementScratch`), and candidate window sums come from two
-prefix-vector slices instead of per-item fancy-index vectors.  The
-values are unchanged — same elements, same subtraction — only the
-allocation churn is gone.
+1. the candidate sums ``prefix[t + v] - prefix[t]`` for ``t = a .. b - v``;
+2. a first-minimum scan over them (the earliest start wins ties, as
+   ``np.argmin`` does);
+3. the ramp update ``prefix[k] += r * min(k - s, v)`` for every hour
+   ``k > s`` after placing at ``s``.
+
+These are the operations of the NumPy sweep this kernel replaced, element
+for element, so its starts are bit-identical to it for any ratings
+(``tests/test_kernels.py`` pins this against a verbatim copy); doing them
+on Python floats removes the four or five tiny NumPy calls per household
+that used to dominate the sweep.
+
+Other pricing models keep the general rule: per household, the batched
+per-hour marginal costs of :meth:`~repro.pricing.base.PricingModel.
+marginal_cost_batch` over the window, their prefix sum, and the first
+minimum of the sliding block sums.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence
 
 import numpy as np
 
 from ..core.intervals import HOURS_PER_DAY
 from ..pricing.base import PricingModel
-from ..pricing.piecewise import TwoStepPricing
 from ..pricing.quadratic import QuadraticPricing
-from . import active_backend, jit_ready, _load_impl
-
-#: ``_RAMPS[v][k]`` is how many hours of a duration-``v`` block beginning
-#: at ``s`` lie at or before hour ``s + 1 + k`` — i.e. ``min(k + 1, v)``.
-#: Adding ``rating * _RAMPS[v][:24 - s]`` to ``prefix[s + 1:]`` applies a
-#: placement to a maintained prefix-sum vector in O(24) without the full
-#: ``np.cumsum`` rebuild.
-_RAMPS = [None] + [
-    np.minimum(np.arange(1, HOURS_PER_DAY + 1, dtype=float), float(v))
-    for v in range(1, HOURS_PER_DAY + 1)
-]
-
-
-class PlacementScratch:
-    """Reusable buffers for one placement sweep (no per-item allocation).
-
-    ``loads`` is the running hourly load, ``prefix`` its maintained
-    25-entry prefix sum (``prefix[0]`` stays 0), and ``window_prefix``
-    the per-item marginal-cost prefix row of the non-quadratic branch
-    (entry 0 stays 0; only ``[1:window+1]`` is rewritten per item).
-    """
-
-    __slots__ = ("loads", "prefix", "window_prefix")
-
-    def __init__(self) -> None:
-        self.loads = np.zeros(HOURS_PER_DAY, dtype=np.float64)
-        self.prefix = np.zeros(HOURS_PER_DAY + 1, dtype=np.float64)
-        self.window_prefix = np.zeros(HOURS_PER_DAY + 1, dtype=np.float64)
-
-    def reset(self) -> None:
-        """Zero the running state for a fresh sweep."""
-        self.loads[:] = 0.0
-        self.prefix[:] = 0.0
-        self.window_prefix[0] = 0.0
+from . import active_backend
 
 
 def place_day(
@@ -77,49 +52,17 @@ def place_day(
     rating: np.ndarray,
     pricing: PricingModel,
     starts_out: np.ndarray,
-    scratch: PlacementScratch,
 ) -> str:
-    """Place every household in ``order``; fill ``starts_out``.
+    """Place every row in ``order``, in that order; fill ``starts_out``.
 
-    Returns the backend that actually ran (``"numba"`` or ``"python"``)
-    — recorded on the allocation result.  Pricing models without a
-    compiled form always take the python sweep, whatever the registry
-    says.
+    ``order`` lists row indices into the four columns; ``starts_out[i]``
+    receives row ``i``'s begin slot.  Returns the kernel backend name
+    recorded on allocation results.
     """
-    scratch.reset()
-    if active_backend() == "numba" and jit_ready():
-        impl = _load_impl()
-        if type(pricing) is QuadraticPricing:
-            impl.place_quadratic(
-                order,
-                win_start,
-                win_end,
-                duration,
-                rating,
-                scratch.loads,
-                scratch.prefix,
-                starts_out,
-            )
-            return "numba"
-        if type(pricing) is TwoStepPricing:
-            impl.place_twostep(
-                order,
-                win_start,
-                win_end,
-                duration,
-                rating,
-                pricing.threshold_kw,
-                pricing.low_rate,
-                pricing.high_rate,
-                scratch.loads,
-                scratch.window_prefix,
-                starts_out,
-            )
-            return "numba"
-    _place_python(
-        order, win_start, win_end, duration, rating, pricing, starts_out, scratch
+    return _place(
+        [0, len(order)], order, win_start, win_end, duration, rating,
+        pricing, starts_out,
     )
-    return "python"
 
 
 def place_batch(
@@ -131,68 +74,25 @@ def place_batch(
     rating: np.ndarray,
     pricing: PricingModel,
     starts_out: np.ndarray,
-    scratch: PlacementScratch = None,
 ) -> str:
-    """Run D independent :func:`place_day` sweeps in one kernel call.
+    """Run D independent :func:`place_day` sweeps over stacked columns.
 
-    The columns are D days' instances stacked day-major; ``offsets`` is
-    the ``D + 1`` ragged boundary vector and
-    ``order[offsets[k]:offsets[k + 1]]`` lists day ``k``'s rows — as
-    *global* indices into the stacked columns — in that day's processing
-    order (the caller's day-major lexsort guarantees this).  Day state
-    (loads, prefix) resets between days; within a day the float sequence
-    is exactly :func:`place_day`'s, so ``starts_out`` is bit-identical to
-    D separate calls.  Returns the backend that ran.
+    The columns hold D days' rows stacked day-major; ``offsets`` is the
+    ``D + 1`` ragged boundary vector and ``order[offsets[k]:offsets[k + 1]]``
+    lists day ``k``'s rows — as indices into the stacked columns — in
+    that day's processing order.  The columns are lowered to lists once,
+    already permuted into processing order; each day then sweeps its
+    slice from an empty load, so ``starts_out`` is bit-identical to D
+    separate :func:`place_day` calls.
     """
-    if scratch is None:
-        scratch = PlacementScratch()
-    scratch.reset()
-    if active_backend() == "numba" and jit_ready():
-        impl = _load_impl()
-        if type(pricing) is QuadraticPricing:
-            impl.place_quadratic_batch(
-                offsets,
-                order,
-                win_start,
-                win_end,
-                duration,
-                rating,
-                scratch.loads,
-                scratch.prefix,
-                starts_out,
-            )
-            return "numba"
-        if type(pricing) is TwoStepPricing:
-            impl.place_twostep_batch(
-                offsets,
-                order,
-                win_start,
-                win_end,
-                duration,
-                rating,
-                pricing.threshold_kw,
-                pricing.low_rate,
-                pricing.high_rate,
-                scratch.loads,
-                scratch.window_prefix,
-                starts_out,
-            )
-            return "numba"
-    _place_python_batch(
-        offsets,
-        order,
-        win_start,
-        win_end,
-        duration,
-        rating,
-        pricing,
-        starts_out,
-        scratch,
+    return _place(
+        np.asarray(offsets).tolist(), order, win_start, win_end, duration,
+        rating, pricing, starts_out,
     )
-    return "python"
 
 
-def _place_python(
+def _place(
+    bounds: List[int],
     order: np.ndarray,
     win_start: np.ndarray,
     win_end: np.ndarray,
@@ -200,82 +100,67 @@ def _place_python(
     rating: np.ndarray,
     pricing: PricingModel,
     starts_out: np.ndarray,
-    scratch: PlacementScratch,
-) -> None:
-    """The reference sweep: plain NumPy, any pricing model."""
-    loads = scratch.loads
-    prefix = scratch.prefix
-    window_prefix = scratch.window_prefix
+) -> str:
+    """The sweep behind both entry points; ``bounds`` delimit the days."""
+    order = np.asarray(order, dtype=np.intp)
+    a = win_start[order].tolist()
+    b = win_end[order].tolist()
+    v = duration[order].tolist()
+    r = rating[order].tolist()
     quadratic = isinstance(pricing, QuadraticPricing)
-    starts = win_start.tolist()
-    ends = win_end.tolist()
-    durations = duration.tolist()
-    ratings = rating.tolist()
-    for i in order.tolist():
-        a, v, r = starts[i], durations[i], ratings[i]
-        if quadratic:
-            count = ends[i] - a - v + 1
-            sums = prefix[a + v:a + v + count] - prefix[a:a + count]
-            s = a + int(np.argmin(sums))
-        else:
-            b = ends[i]
-            width = b - a
-            hourly = pricing.marginal_cost_batch(loads[a:b], r)
-            np.cumsum(hourly, out=window_prefix[1:width + 1])
-            deltas = (
-                window_prefix[v:width + 1] - window_prefix[:width + 1 - v]
-            )
-            s = a + int(np.argmin(deltas))
-        starts_out[i] = s
+    placed: List[int] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        day = (a[lo:hi], b[lo:hi], v[lo:hi], r[lo:hi])
+        placed += _sweep_quadratic(*day) if quadratic else _sweep_priced(*day, pricing)
+    starts_out[order] = placed
+    return active_backend()
+
+
+def _sweep_quadratic(
+    starts: Sequence[int],
+    ends: Sequence[int],
+    durations: Sequence[int],
+    ratings: Sequence[float],
+) -> List[int]:
+    """One day's quadratic sweep; rows already in processing order."""
+    prefix = [0.0] * (HOURS_PER_DAY + 1)
+    placed: List[int] = []
+    append = placed.append
+    for a, b, v, r in zip(starts, ends, durations, ratings):
+        s = a
+        best = prefix[a + v] - prefix[a]
+        for t in range(a + 1, b - v + 1):
+            load = prefix[t + v] - prefix[t]
+            if load < best:
+                best = load
+                s = t
+        append(s)
+        # prefix[k] += r * min(k - s, v), split at k = s + v.
+        for m in range(1, v):
+            prefix[s + m] += r * m
+        rv = r * v
+        for k in range(s + v, HOURS_PER_DAY + 1):
+            prefix[k] += rv
+    return placed
+
+
+def _sweep_priced(
+    starts: Sequence[int],
+    ends: Sequence[int],
+    durations: Sequence[int],
+    ratings: Sequence[float],
+    pricing: PricingModel,
+) -> List[int]:
+    """One day's sweep under any pricing model, via its marginal costs."""
+    loads = np.zeros(HOURS_PER_DAY, dtype=np.float64)
+    window_prefix = np.zeros(HOURS_PER_DAY + 1, dtype=np.float64)
+    placed: List[int] = []
+    for a, b, v, r in zip(starts, ends, durations, ratings):
+        width = b - a
+        hourly = pricing.marginal_cost_batch(loads[a:b], r)
+        np.cumsum(hourly, out=window_prefix[1:width + 1])
+        deltas = window_prefix[v:width + 1] - window_prefix[:width + 1 - v]
+        s = a + int(np.argmin(deltas))
+        placed.append(s)
         loads[s:s + v] += r
-        prefix[s + 1:] += r * _RAMPS[v][:HOURS_PER_DAY - s]
-
-
-def _place_python_batch(
-    offsets: np.ndarray,
-    order: np.ndarray,
-    win_start: np.ndarray,
-    win_end: np.ndarray,
-    duration: np.ndarray,
-    rating: np.ndarray,
-    pricing: PricingModel,
-    starts_out: np.ndarray,
-    scratch: PlacementScratch,
-) -> None:
-    """Reference batch sweep: the per-day inner body, columns lowered once.
-
-    ``.tolist()`` on the stacked columns happens a single time here —
-    delegating to :func:`_place_python` per day would redo the O(total)
-    lowering D times.
-    """
-    loads = scratch.loads
-    prefix = scratch.prefix
-    window_prefix = scratch.window_prefix
-    quadratic = isinstance(pricing, QuadraticPricing)
-    starts = win_start.tolist()
-    ends = win_end.tolist()
-    durations = duration.tolist()
-    ratings = rating.tolist()
-    bounds = offsets.tolist()
-    rows = order.tolist()
-    for k in range(len(bounds) - 1):
-        if k:
-            scratch.reset()
-        for i in rows[bounds[k]:bounds[k + 1]]:
-            a, v, r = starts[i], durations[i], ratings[i]
-            if quadratic:
-                count = ends[i] - a - v + 1
-                sums = prefix[a + v:a + v + count] - prefix[a:a + count]
-                s = a + int(np.argmin(sums))
-            else:
-                b = ends[i]
-                width = b - a
-                hourly = pricing.marginal_cost_batch(loads[a:b], r)
-                np.cumsum(hourly, out=window_prefix[1:width + 1])
-                deltas = (
-                    window_prefix[v:width + 1] - window_prefix[:width + 1 - v]
-                )
-                s = a + int(np.argmin(deltas))
-            starts_out[i] = s
-            loads[s:s + v] += r
-            prefix[s + 1:] += r * _RAMPS[v][:HOURS_PER_DAY - s]
+    return placed

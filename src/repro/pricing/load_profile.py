@@ -64,7 +64,9 @@ class LoadProfile:
         delta = np.zeros(HOURS_PER_DAY + 1, dtype=float)
         np.add.at(delta, starts, ratings)
         np.add.at(delta, ends, -ratings)
-        return cls._wrap(np.cumsum(delta[:HOURS_PER_DAY]))
+        # With ratings such as 1.8 kW the running sum can round to a hair
+        # below zero once every block has ended; a load is never negative.
+        return cls._wrap(np.maximum(np.cumsum(delta[:HOURS_PER_DAY]), 0.0))
 
     @classmethod
     def from_intervals(

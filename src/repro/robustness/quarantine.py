@@ -463,8 +463,12 @@ class Quarantine:
                     )
 
         idx = np.flatnonzero(keep)
+        if len(idx) == len(neighborhood):
+            ids = neighborhood.ids
+        else:
+            ids = tuple(neighborhood.ids[i] for i in idx.tolist())
         accepted = ColumnarReports(
-            ids=tuple(neighborhood.ids[i] for i in idx.tolist()),
+            ids=ids,
             start=out_begin[idx],
             end=out_end[idx],
             duration=metered[idx].copy(),

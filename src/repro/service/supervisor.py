@@ -32,7 +32,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..kernels import warm_kernels
 from ..sim.parallel import (
     DEFAULT_BACKOFF_S,
     DEFAULT_JITTER,
@@ -129,14 +128,7 @@ class ShardSupervisor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            # Warm the JIT kernel cache in the parent first — forked
-            # workers inherit it, and the degraded tier (which settles
-            # sick shards inline in this process) never pays a compile
-            # mid-incident.  Then once per worker, not per shard.
-            warm_kernels()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, initializer=warm_kernels
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
 
     def _replace_pool(self) -> None:

@@ -47,7 +47,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..kernels import warm_kernels
 from ..robustness.errors import WorkerFailure
 
 _P = TypeVar("_P")
@@ -244,13 +243,7 @@ def _pool_round(
 ) -> List[Tuple[Tuple[int, ...], str]]:
     """One attempt at the unresolved units; returns the failed ones."""
     failures: List[Tuple[Tuple[int, ...], str]] = []
-    # Each worker warms the JIT kernel cache once at startup, not per
-    # task: forked workers inherit the parent's warm (the initializer is
-    # then an instant no-op), spawn-style workers compile/cache-load once
-    # before their first payload.  ``warm_kernels`` never raises.
-    pool = ProcessPoolExecutor(
-        max_workers=min(n_workers, len(units)), initializer=warm_kernels
-    )
+    pool = ProcessPoolExecutor(max_workers=min(n_workers, len(units)))
     killed = False
     try:
         futures = {
@@ -370,10 +363,6 @@ def map_tasks(
                 on_result(index, value)
         return serial
 
-    # Warm the parent before any pool exists: forked workers then inherit
-    # compiled kernels outright, and the retry path's inline re-runs never
-    # pay a compile mid-recovery.
-    warm_kernels()
     indices = list(range(len(payloads)))
     units: List[Tuple[int, ...]] = [
         tuple(indices[at:at + chunksize]) for at in range(0, len(indices), chunksize)

@@ -26,15 +26,20 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+# ``numpy.random`` loads on first attribute access.  Importing it by name
+# loads it with this module, before any worker pool forks, so forked
+# workers inherit it instead of each importing it again.
+from numpy.random import Generator, SeedSequence, default_rng
 
-def make_rngs(seed: Optional[int]) -> Tuple[random.Random, np.random.Generator]:
+
+def make_rngs(seed: Optional[int]) -> Tuple[random.Random, Generator]:
     """A paired (stdlib, numpy) generator from one seed.
 
     The stdlib generator drives tie-breaking and shuffles; the numpy one
     drives the distribution sampling of Section VI.
     """
     py_rng = random.Random(seed)
-    np_rng = np.random.default_rng(seed)
+    np_rng = default_rng(seed)
     return py_rng, np_rng
 
 
@@ -52,10 +57,10 @@ def root_entropy(seed: Optional[int]) -> int:
     """
     if seed is not None:
         return int(seed)
-    return int(np.random.SeedSequence().entropy)
+    return int(SeedSequence().entropy)
 
 
-def day_seed_sequence(root: int, day: int) -> np.random.SeedSequence:
+def day_seed_sequence(root: int, day: int) -> SeedSequence:
     """The keyed substream for day ``day`` under master entropy ``root``.
 
     ``SeedSequence(root, spawn_key=(day,))`` matches what
@@ -65,10 +70,10 @@ def day_seed_sequence(root: int, day: int) -> np.random.SeedSequence:
     """
     if day < 0:
         raise ValueError(f"day index cannot be negative, got {day}")
-    return np.random.SeedSequence(root, spawn_key=(day,))
+    return SeedSequence(root, spawn_key=(day,))
 
 
-def make_day_rngs(root: int, day: int) -> Tuple[random.Random, np.random.Generator]:
+def make_day_rngs(root: int, day: int) -> Tuple[random.Random, Generator]:
     """Paired (stdlib, numpy) generators for one simulated day.
 
     Both generators are pure functions of ``(root, day)``: the numpy one is
@@ -77,7 +82,7 @@ def make_day_rngs(root: int, day: int) -> Tuple[random.Random, np.random.Generat
     neither shares state with any other day's pair.
     """
     seq = day_seed_sequence(root, day)
-    np_rng = np.random.default_rng(seq)
+    np_rng = default_rng(seq)
     words = seq.generate_state(4, np.uint32)
     py_seed = int.from_bytes(words.tobytes(), "little")
     return random.Random(py_seed), np_rng

@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as sps
-
 
 @dataclass(frozen=True)
 class MeanCI:
@@ -47,6 +45,10 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> MeanCI:
         return MeanCI(mean=mean, half_width=0.0, n=1, confidence=confidence)
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
+    # Imported here: loading scipy.stats costs about a second, and every
+    # process that imports the simulation package would pay it otherwise.
+    from scipy import stats as sps
+
     t_crit = float(sps.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return MeanCI(mean=mean, half_width=t_crit * sem, n=n, confidence=confidence)
 

@@ -7,8 +7,8 @@ run batched, warm-cached, or both is **bit-identical** to the per-day
 loop — records, settlements, quarantine decisions, checkpoint stores —
 with only ``wall_time_s`` and the ``cache_hit`` provenance bit allowed
 to differ.  Also pinned here: the digest layer's stability contract
-(same problem content → same digest in the parent, in a spawned
-interpreter, and under either kernel backend; one flipped rating bit →
+(same problem content → same digest in the parent and in a spawned
+interpreter, whatever the kernel backend name; one flipped rating bit →
 a different digest) and the compile cache's hit-rate counters.
 """
 
@@ -32,7 +32,6 @@ from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.core.columnar import ColumnarDayBatch, ColumnarReports
 from repro.core.mechanism import EnkiMechanism
-from repro.kernels import forced_backend, numba_available
 from repro.pricing.quadratic import QuadraticPricing
 from repro.robustness import ChaosInjector, ChaosPlan
 from repro.robustness.quarantine import Quarantine
@@ -344,14 +343,13 @@ class TestDigestStability:
         )
         assert child.stdout.strip() == parent
 
-    def test_digest_is_backend_independent(self):
-        compiled, _ = _digest_for()
-        with forced_backend("python"):
-            python_digest = problem_digest(compiled)
-        backends = ["python"] + (["numba"] if numba_available() else [])
-        for backend in backends:
-            with forced_backend(backend):
-                assert problem_digest(compiled) == python_digest
+    def test_digest_is_backend_independent(self, monkeypatch):
+        """The digest reads instance content only, never the backend name."""
+        import repro.kernels
+
+        compiled, digest = _digest_for()
+        monkeypatch.setattr(repro.kernels, "active_backend", lambda: "other")
+        assert problem_digest(compiled) == digest
 
     def test_one_rating_bit_flip_changes_digest(self):
         compiled, digest = _digest_for()
@@ -369,18 +367,18 @@ class TestDigestStability:
         )
         assert problem_digest(flipped) != digest
 
-    def test_full_key_separates_backends_and_rngs(self):
+    def test_full_key_separates_backends_and_rngs(self, monkeypatch):
+        import repro.allocation.cache as cache_mod
+
         compiled, _ = _digest_for()
         cache = AllocationCache()
         allocator = GreedyFlexibilityAllocator()
-        with forced_backend("python"):
-            key_a = cache.key_for(allocator, compiled, random.Random(0))
-            key_b = cache.key_for(allocator, compiled, random.Random(1))
+        key_a = cache.key_for(allocator, compiled, random.Random(0))
+        key_b = cache.key_for(allocator, compiled, random.Random(1))
         assert key_a != key_b
-        if numba_available():
-            with forced_backend("numba"):
-                key_numba = cache.key_for(allocator, compiled, random.Random(0))
-            assert key_numba != key_a
+        assert "-python-" in key_a
+        monkeypatch.setattr(cache_mod, "active_backend", lambda: "other")
+        assert cache.key_for(allocator, compiled, random.Random(0)) != key_a
 
 
 # ----------------------------------------------------- compile cache stats

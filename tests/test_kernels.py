@@ -1,29 +1,18 @@
-"""The JIT kernel subsystem: registry semantics and bit-identity.
+"""The scalar placement kernel and the exact solver's node expansion.
 
-Two families of guarantees are pinned here:
-
-* **Registry** (:mod:`repro.kernels`): backend resolution order
-  (``set_backend`` > ``ENKI_KERNELS`` > auto), env mirroring so worker
-  processes inherit the choice, graceful once-logged degradation when
-  numba is missing or forced-but-unimportable, idempotent warm-up, and
-  the ``--kernels`` CLI flag.
-* **Bit-identity**: the kernelized ``solve_columnar`` sweep reproduces a
-  verbatim copy of the pre-kernel placement loop — identical starts and
-  costs across random compiled problems, both pricing models, degenerate
-  (slack-free and full-day) windows, n = 0/1 — and every backend that is
-  importable agrees with every other on greedy placements and on B&B
-  costs, node counts and proven verdicts.  As in the other equivalence
-  suites, ratings are exact binary floats so bit-identity is
-  well-defined.
-
-On boxes without numba, ``BACKENDS`` collapses to ``["python"]``: the
-cross-backend assertions then exercise the fallback against the legacy
-oracle only, and the numba legs skip with the reason logged.
+Every greedy path places through :mod:`repro.kernels.placement`.  The
+kernel reproduces a verbatim copy of the NumPy placement loop it replaced
+— identical starts and costs across random compiled problems, both
+pricing models, degenerate (slack-free and full-day) windows, n = 0/1 —
+for exact binary ratings *and* for ratings such as 0.3 or 1.1 kW whose
+load sums round, because it performs the same float operations in the
+same order.  The exact solver's node expansion is pinned against the
+inline numpy lines it was lifted from, and its results against
+exhaustive search.
 """
 
 from __future__ import annotations
 
-import logging
 import random
 
 import numpy as np
@@ -31,39 +20,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.allocation.arrays import CompiledProblem
 from repro.allocation.base import problem_from_compiled
+from repro.allocation.exhaustive import ExhaustiveAllocator
 from repro.allocation.greedy import GreedyFlexibilityAllocator
-from repro.allocation.optimal import BranchAndBoundAllocator
+from repro.allocation.optimal import BranchAndBoundAllocator, expand_children
 from repro.core.flexibility import flexibility_vector
 from repro.core.intervals import HOURS_PER_DAY
-from repro.kernels.bnb import child_expander
-from repro.kernels.placement import PlacementScratch, place_day
+from repro.kernels.placement import place_batch, place_day
 from repro.pricing.load_profile import LoadProfile
 from repro.pricing.piecewise import TwoStepPricing
 from repro.pricing.quadratic import QuadraticPricing
 
 #: Exactly-representable ratings (binary fractions, the paper's 2.0 among
-#: them), keeping every load sum exact so "bit-identical" is meaningful.
+#: them), keeping every load sum exact.
 _EXACT_RATINGS = (0.5, 1.0, 2.0, 4.0)
+
+#: Ratings whose sums round: identity here needs the same float
+#: operations in the same order, not just exact arithmetic.
+_NON_BINARY_RATINGS = (0.3, 1.1, 1.8, 7.2)
 
 _PRICINGS = (
     QuadraticPricing(sigma=0.3),
     TwoStepPricing(threshold_kw=6.0, low_rate=1.0, high_rate=4.0),
 )
-
-#: Every backend usable on this box; the identity suites quantify over it.
-BACKENDS = ["python"] + (["numba"] if kernels.numba_available() else [])
-
-
-@pytest.fixture(autouse=True)
-def clean_registry(monkeypatch):
-    """Each test starts from an unforced, unprobed registry and clean env."""
-    monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-    kernels._reset_backend_state()
-    yield
-    kernels._reset_backend_state()
 
 
 # ------------------------------------------------------------------ oracle
@@ -79,8 +59,8 @@ def _legacy_solve_columnar(allocator, compiled, pricing, rng):
     """The pre-kernel ``solve_columnar`` placement loop, kept verbatim.
 
     The oracle for the bit-identity suite: starts and cost exactly as the
-    shipped implementation computed them before ``repro.kernels`` existed
-    (per-item fancy-indexed window sums, per-item
+    shipped implementation computed them before the placement kernel
+    existed (per-item fancy-indexed window sums, per-item
     ``np.concatenate(([0.0], np.cumsum(...)))``, ``_RAMPS`` prefix
     updates).
     """
@@ -125,11 +105,11 @@ def _legacy_solve_columnar(allocator, compiled, pricing, rng):
 # -------------------------------------------------------------- strategies
 
 @st.composite
-def compiled_problems(draw, max_n=25):
+def compiled_problems(draw, max_n=25, ratings=_EXACT_RATINGS):
     """Random compiled instances including n = 0/1 and degenerate windows.
 
     Windows include slack-free ones (window length == duration: exactly
-    one placement) and full-day ones; ratings are exact binary floats.
+    one placement) and full-day ones; ratings are drawn from ``ratings``.
     """
     n = draw(st.integers(min_value=0, max_value=max_n))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
@@ -141,7 +121,7 @@ def compiled_problems(draw, max_n=25):
         win_start.append(a)
         win_end.append(a + v + slack)
         duration.append(v)
-        rating.append(rng.choice(_EXACT_RATINGS))
+        rating.append(rng.choice(ratings))
     pricing = draw(st.sampled_from(_PRICINGS))
     compiled = CompiledProblem.from_arrays(
         ids=tuple(f"h{j:03d}" for j in range(n)),
@@ -157,56 +137,68 @@ def compiled_problems(draw, max_n=25):
 # ----------------------------------------------------- placement identity
 
 class TestPlacementBitIdentity:
-    @given(compiled_problems(), st.integers(min_value=0, max_value=2**16))
-    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from((_EXACT_RATINGS, _NON_BINARY_RATINGS)).flatmap(
+            lambda ratings: compiled_problems(ratings=ratings)
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=80, deadline=None)
     def test_every_backend_matches_the_legacy_loop(self, case, seed):
         compiled, pricing = case
         allocator = GreedyFlexibilityAllocator()
         legacy_starts, legacy_cost = _legacy_solve_columnar(
             allocator, compiled, pricing, random.Random(seed)
         )
-        for backend in BACKENDS:
-            with kernels.forced_backend(backend):
-                result = allocator.solve_columnar(
-                    compiled, pricing, random.Random(seed)
-                )
-            assert np.array_equal(result.starts, legacy_starts), backend
-            assert result.cost == legacy_cost, backend
-            if len(compiled) and type(pricing) in (
-                QuadraticPricing, TwoStepPricing
-            ):
-                assert result.kernel_backend == backend
+        result = allocator.solve_columnar(compiled, pricing, random.Random(seed))
+        assert np.array_equal(result.starts, legacy_starts)
+        assert result.cost == legacy_cost
+        assert result.kernel_backend == "python"
 
-    @given(compiled_problems(max_n=12), st.integers(min_value=0, max_value=2**16))
+    @given(
+        st.lists(
+            compiled_problems(max_n=12, ratings=_NON_BINARY_RATINGS),
+            min_size=1, max_size=4,
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
     @settings(max_examples=20, deadline=None)
-    def test_place_day_backends_agree(self, case, seed):
-        """Kernel-level identity, independent of the allocator wrapper."""
-        compiled, pricing = case
-        n = len(compiled)
+    def test_place_day_backends_agree(self, cases, seed):
+        """The two kernel entry points agree: one D-day ``place_batch``
+        over stacked columns equals D ``place_day`` calls."""
+        pricing = cases[0][1]
+        days = [compiled for compiled, _ in cases]
         rng = np.random.default_rng(seed)
-        order = np.asarray(rng.permutation(n), dtype=np.intp)
-        reference = None
-        for backend in BACKENDS:
-            starts_out = np.zeros(n, dtype=np.intp)
-            with kernels.forced_backend(backend):
-                used = place_day(
-                    order,
-                    compiled.win_start,
-                    compiled.win_end,
-                    compiled.duration,
-                    compiled.rating,
-                    pricing,
-                    starts_out,
-                    PlacementScratch(),
-                )
-            assert used == backend
-            if reference is None:
-                reference = starts_out
-            else:
-                assert np.array_equal(starts_out, reference)
+        orders = [np.asarray(rng.permutation(len(c)), dtype=np.intp) for c in days]
+        offsets = np.cumsum([0] + [len(c) for c in days])
+        columns = [
+            np.concatenate([getattr(c, name) for c in days])
+            for name in ("win_start", "win_end", "duration", "rating")
+        ]
+        batched = np.zeros(int(offsets[-1]), dtype=np.intp)
+        place_batch(
+            offsets,
+            np.concatenate([o + lo for o, lo in zip(orders, offsets)]),
+            *columns,
+            pricing,
+            batched,
+        )
+        for compiled, order, lo in zip(days, orders, offsets):
+            starts_out = np.zeros(len(compiled), dtype=np.intp)
+            used = place_day(
+                order,
+                compiled.win_start,
+                compiled.win_end,
+                compiled.duration,
+                compiled.rating,
+                pricing,
+                starts_out,
+            )
+            assert used == "python"
+            assert np.array_equal(batched[lo:lo + len(compiled)], starts_out)
 
     def test_subclassed_pricing_takes_the_python_path(self):
-        """``type() is`` dispatch: pricing subclasses never hit the JIT."""
+        """A ``QuadraticPricing`` subclass takes the quadratic sweep."""
 
         class TracedQuadratic(QuadraticPricing):
             pass
@@ -218,22 +210,22 @@ class TestPlacementBitIdentity:
             duration=np.array([2, 3], dtype=np.intp),
             rating=np.array([2.0, 2.0]),
         )
-        pricing = TracedQuadratic(sigma=0.3)
-        starts_out = np.zeros(2, dtype=np.intp)
         order = np.array([0, 1], dtype=np.intp)
-        for backend in BACKENDS:
-            with kernels.forced_backend(backend):
-                used = place_day(
-                    order,
-                    compiled.win_start,
-                    compiled.win_end,
-                    compiled.duration,
-                    compiled.rating,
-                    pricing,
-                    starts_out,
-                    PlacementScratch(),
-                )
+        placed = {}
+        for pricing in (TracedQuadratic(sigma=0.3), QuadraticPricing(sigma=0.3)):
+            starts_out = np.zeros(2, dtype=np.intp)
+            used = place_day(
+                order,
+                compiled.win_start,
+                compiled.win_end,
+                compiled.duration,
+                compiled.rating,
+                pricing,
+                starts_out,
+            )
             assert used == "python"
+            placed[type(pricing)] = starts_out.tolist()
+        assert placed[TracedQuadratic] == placed[QuadraticPricing] == [0, 4]
 
 
 # ----------------------------------------------------------- B&B identity
@@ -265,15 +257,15 @@ def _bnb_instances():
 
 class TestBnbBitIdentity:
     def test_backends_agree_on_cost_nodes_and_verdict(self):
+        """Proven optimal at the exhaustive optimum; repeat solves agree."""
         for problem in _bnb_instances():
-            reference = None
-            for backend in BACKENDS:
-                with kernels.forced_backend(backend):
-                    result = BranchAndBoundAllocator(
-                        time_limit_s=None, seed=1
-                    ).solve(problem, random.Random(3))
-                assert result.kernel_backend == backend
-                summary = (
+            summaries = []
+            for _ in range(2):
+                result = BranchAndBoundAllocator(
+                    time_limit_s=None, seed=1
+                ).solve(problem, random.Random(3))
+                assert result.kernel_backend == "python"
+                summaries.append((
                     result.cost,
                     result.nodes_explored,
                     result.proven_optimal,
@@ -281,11 +273,11 @@ class TestBnbBitIdentity:
                         result.allocation[item.household_id].start
                         for item in problem.items
                     ),
-                )
-                if reference is None:
-                    reference = summary
-                else:
-                    assert summary == reference, backend
+                ))
+            assert summaries[0] == summaries[1]
+            assert summaries[0][2]
+            optimum = ExhaustiveAllocator().solve(problem, random.Random(3))
+            assert summaries[0][0] == pytest.approx(optimum.cost)
 
     @given(st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=25, deadline=None)
@@ -308,123 +300,9 @@ class TestBnbBitIdentity:
         )
         reference_order = np.argsort(reference_deltas, kind="stable")
 
-        for backend in BACKENDS:
-            with kernels.forced_backend(backend):
-                expand, used = child_expander()
-            assert used == backend
-            prefix = np.zeros(HOURS_PER_DAY + 1)
-            deltas_buf = np.empty(HOURS_PER_DAY)
-            order_buf = np.empty(HOURS_PER_DAY, dtype=np.intp)
-            deltas, order = expand(
-                loads_arr, starts_idx, ends_idx, two_sigma_r, self_term,
-                prefix, deltas_buf, order_buf,
-            )
-            assert np.array_equal(deltas, reference_deltas)
-            assert np.array_equal(order, reference_order)
-
-
-# ------------------------------------------------------- registry semantics
-
-class TestRegistry:
-    def test_env_var_forces_python(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "python")
-        assert kernels.active_backend() == "python"
-        # And the whole solve path still works under the forced fallback.
-        compiled = CompiledProblem.from_arrays(
-            ids=("a",),
-            win_start=np.array([2], dtype=np.intp),
-            win_end=np.array([10], dtype=np.intp),
-            duration=np.array([3], dtype=np.intp),
-            rating=np.array([2.0]),
+        deltas, order = expand_children(
+            loads_arr, starts_idx, ends_idx, two_sigma_r, self_term,
+            np.zeros(HOURS_PER_DAY + 1),
         )
-        result = GreedyFlexibilityAllocator(seed=0).solve_columnar(
-            compiled, _PRICINGS[0]
-        )
-        assert result.kernel_backend == "python"
-
-    def test_set_backend_mirrors_env_and_auto_clears(self, monkeypatch):
-        import os
-
-        kernels.set_backend("python")
-        assert os.environ[kernels.KERNELS_ENV] == "python"
-        assert kernels.active_backend() == "python"
-        kernels.set_backend("auto")
-        assert kernels.KERNELS_ENV not in os.environ
-
-    def test_set_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="kernel backend"):
-            kernels.set_backend("cython")
-
-    def test_invalid_env_value_falls_back_to_auto(self, monkeypatch, caplog):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "jit")
-        with caplog.at_level(logging.INFO, logger="repro.kernels"):
-            first = kernels.active_backend()
-            kernels.active_backend()
-        assert first in ("numba", "python")
-        warnings = [r for r in caplog.records if "unrecognized" in r.message]
-        assert len(warnings) == 1
-
-    def test_missing_numba_degrades_with_one_info_line(self, monkeypatch, caplog):
-        monkeypatch.setattr(
-            kernels, "_import_numba",
-            lambda: (_ for _ in ()).throw(ImportError("No module named 'numba'")),
-        )
-        with caplog.at_level(logging.INFO, logger="repro.kernels"):
-            assert kernels.active_backend() == "python"
-            assert kernels.active_backend() == "python"
-            assert not kernels.numba_available()
-        infos = [
-            r for r in caplog.records
-            if "falling back to python kernels" in r.getMessage()
-        ]
-        assert len(infos) == 1
-        assert infos[0].levelno == logging.INFO
-        # The degraded registry still serves solves.
-        meta = kernels.warm_kernels()
-        assert meta["kernel_backend"] == "python"
-        assert meta["numba_version"] is None
-        assert meta["jit_compile_seconds"] == 0.0
-
-    def test_forced_numba_without_numba_degrades_logged(self, monkeypatch, caplog):
-        monkeypatch.setattr(
-            kernels, "_import_numba",
-            lambda: (_ for _ in ()).throw(ImportError("nope")),
-        )
-        with caplog.at_level(logging.INFO, logger="repro.kernels"):
-            assert kernels.set_backend("numba") == "python"
-            kernels.active_backend()
-        assert any(
-            "requested but numba is not importable" in r.getMessage()
-            for r in caplog.records
-        )
-
-    def test_forced_backend_restores_previous_state(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv(kernels.KERNELS_ENV, "auto")
-        with kernels.forced_backend("python") as active:
-            assert active == "python"
-            assert os.environ[kernels.KERNELS_ENV] == "python"
-        assert os.environ[kernels.KERNELS_ENV] == "auto"
-        assert kernels._forced is None
-
-    def test_warm_is_idempotent_and_jit_meta_consistent(self):
-        first = kernels.warm_kernels()
-        second = kernels.warm_kernels()
-        assert first == second
-        if kernels.numba_available():
-            assert first["kernel_backend"] == "numba"
-            assert first["numba_version"]
-        else:
-            assert first["kernel_backend"] == "python"
-
-    def test_cli_kernels_flag_sets_backend(self, monkeypatch, capsys):
-        import os
-
-        from repro.cli import main
-
-        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-        assert main(["list", "--kernels", "python"]) == 0
-        assert os.environ[kernels.KERNELS_ENV] == "python"
-        assert kernels.active_backend() == "python"
-        capsys.readouterr()
+        assert np.array_equal(deltas, reference_deltas)
+        assert np.array_equal(order, reference_order)

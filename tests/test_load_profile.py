@@ -6,6 +6,7 @@ import pytest
 from repro.core.intervals import Interval
 from repro.core.types import HouseholdType, Preference
 from repro.pricing.load_profile import LoadProfile
+from repro.pricing.piecewise import TwoStepPricing
 
 
 class TestConstruction:
@@ -27,6 +28,17 @@ class TestConstruction:
         values[3] = -1.0
         with pytest.raises(ValueError):
             LoadProfile(values)
+
+
+class TestFromArrays:
+    def test_rounding_never_leaves_a_negative_load(self):
+        # 7.2 + 1.8 - 7.2 - 1.8 rounds to -2.2e-16 in a running sum.
+        profile = LoadProfile.from_arrays(
+            np.array([3, 4]), np.array([19, 23]), np.array([7.2, 1.8])
+        )
+        assert profile.as_array().min() >= 0.0
+        assert profile[23] == 0.0
+        TwoStepPricing(threshold_kw=6.0, low_rate=1.0, high_rate=4.0).cost(profile)
 
 
 class TestAddRemove:

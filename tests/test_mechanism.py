@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.intervals import Interval
 from repro.core.mechanism import (
     EnkiMechanism,
     closest_feasible_consumption,
+    closest_feasible_starts,
     default_consumption,
     truthful_reports,
 )
@@ -37,6 +39,64 @@ class TestClosestFeasibleConsumption:
         # (17,19),(18,20),(19,21) with overlaps 2,1,0 -> picks (17, 19).
         result = closest_feasible_consumption(Interval(17, 21), 2, Interval(15, 19))
         assert result == Interval(17, 19)
+
+    @staticmethod
+    def _scan(w0, w1, duration, p, q):
+        """The scan the closed form replaced: earliest overlap maximizer.
+
+        Every in-window start in turn, ``Interval.overlap`` inlined.
+        """
+        best_start, best_overlap = w0, -1
+        for start in range(w0, w1 - duration + 1):
+            overlap = max(0, min(start + duration, q) - max(start, p))
+            if overlap > best_overlap:
+                best_start, best_overlap = start, overlap
+        return best_start
+
+    def test_closed_form_matches_the_scan_on_every_grid_case(self):
+        """All 845,000 (window, duration, allocation) cases of one day.
+
+        Windows hold the block; allocations are any interval, empty and
+        longer-than-the-block ones included.
+        """
+        allocations = [Interval(p, q) for p in range(25) for q in range(p, 25)]
+        checked = 0
+        for w0 in range(25):
+            for w1 in range(w0 + 1, 25):
+                window = Interval(w0, w1)
+                for duration in range(1, w1 - w0 + 1):
+                    got = [
+                        closest_feasible_consumption(window, duration, alloc).start
+                        for alloc in allocations
+                    ]
+                    expected = [
+                        self._scan(w0, w1, duration, alloc.start, alloc.end)
+                        for alloc in allocations
+                    ]
+                    assert got == expected, (window, duration)
+                    checked += len(got)
+        assert checked == 845_000
+
+    def test_window_too_short_falls_back_to_its_start(self):
+        result = closest_feasible_consumption(Interval(3, 4), 2, Interval(10, 12))
+        assert result == Interval(3, 5)
+
+    def test_array_form_matches_the_scalar_rule(self):
+        """``closest_feasible_starts`` on every same-duration grid case."""
+        rows = [
+            (w0, w1, v, s)
+            for w0 in range(25)
+            for w1 in range(w0 + 1, 25)
+            for v in range(1, w1 - w0 + 1)
+            for s in range(0, 25 - v)
+        ]
+        w0, w1, v, s = (np.array(col, dtype=np.intp) for col in zip(*rows))
+        got = closest_feasible_starts(s, w0, w1, v)
+        expected = [
+            closest_feasible_consumption(Interval(a, b), d, Interval(t, t + d)).start
+            for a, b, d, t in rows
+        ]
+        assert got.tolist() == expected
 
 
 class TestRunDay:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 import scipy.stats as sps
@@ -11,6 +13,19 @@ from repro.stats.mannwhitney import mann_whitney_u, u_statistic
 
 
 class TestDescriptive:
+    def test_package_import_leaves_scipy_stats_unloaded(self):
+        """Only ``mean_ci`` needs ``scipy.stats``; importing the simulation,
+        service and allocation packages must not pay for loading it."""
+        script = (
+            "import sys, repro.sim, repro.service, repro.allocation\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True,
+        )
+        assert child.stdout.strip() == "[]"
+
     def test_mean_ci_basic(self):
         ci = mean_ci([1.0, 2.0, 3.0])
         assert ci.mean == pytest.approx(2.0)
