@@ -9,25 +9,19 @@ n = 100k day carries the ISSUE's acceptance budget: under 5 seconds.
 """
 
 import random
-import time
 
 import numpy as np
-import pytest
 
 from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.core.columnar import ColumnarReports
 from repro.core.mechanism import EnkiMechanism
 from repro.pricing.quadratic import QuadraticPricing
-from repro.sim.parallel import available_cores
 from repro.sim.profiles import ProfileGenerator
 
 from conftest import time_call
 
 #: The ISSUE's acceptance budget for the full n = 100k day, in seconds.
 _DAY_N100K_BUDGET_S = 5.0
-
-#: Acceptance budget for the sharded 1M-household day (4+ core hosts).
-_DAY_N1M_BUDGET_S = 5.0
 
 
 def _columnar_day(n_households, seed=2017):
@@ -69,61 +63,6 @@ def test_bench_day_n100k(bench_json):
         f"columnar day at n=100k took {seconds:.2f}s, over the "
         f"{_DAY_N100K_BUDGET_S}s acceptance budget"
     )
-
-
-@pytest.mark.slow
-def test_bench_day_n1m_sharded(bench_json):
-    """A 1M-household day sharded across workers over shm transport.
-
-    Sampling is setup (recorded separately); the timed region is the
-    sharded allocate + settle via :func:`run_columnar_day_sharded`, with
-    the neighborhood packed once into a shared segment and each worker
-    greedily solving a contiguous row slice.  The <5 s acceptance budget
-    binds on 4+ visible-core hosts; smaller boxes record the time only.
-    """
-    from repro.sim.engine import run_columnar_day_sharded
-
-    n = 1_000_000
-    workers = 4
-    shards = 8
-    started = time.perf_counter()
-    cols = ProfileGenerator().sample_population_columnar(
-        np.random.default_rng(2017), n
-    )
-    neighborhood = cols.to_neighborhood("wide")
-    sampling_s = time.perf_counter() - started
-
-    mechanism = EnkiMechanism(seed=2017)
-    started = time.perf_counter()
-    outcome = run_columnar_day_sharded(
-        mechanism,
-        neighborhood,
-        shards=shards,
-        workers=workers,
-        rng=random.Random(2017),
-    )
-    day_s = time.perf_counter() - started
-    assert outcome.settlement.total_cost > 0
-    assert len(outcome.allocation_starts) == n
-
-    from repro.kernels import active_backend
-
-    cores = available_cores()
-    bench_json(
-        "day_n1m",
-        seconds=day_s,
-        sampling_seconds=sampling_s,
-        n_households=n,
-        shards=shards,
-        workers=workers,
-        cpu_cores_visible=cores,
-        kernel_backend=active_backend(),
-    )
-    if cores >= 4:
-        assert day_s < _DAY_N1M_BUDGET_S, (
-            f"sharded day at n=1M took {day_s:.2f}s, over the "
-            f"{_DAY_N1M_BUDGET_S}s budget on {cores} cores"
-        )
 
 
 def test_bench_greedy_solve_n100k(bench_json):

@@ -833,11 +833,10 @@ class EnkiMechanism:
     ) -> ColumnarDayOutcome:
         """Settle an already-allocated columnar day.
 
-        The back half of :meth:`run_day_columnar`, split out so drivers
-        that produce the allocation elsewhere (the row-sharded large-n
-        path in :mod:`repro.sim.engine`) reuse the exact consumption and
-        Eq. 3-8 settlement chain.  The begin slots are (re)validated
-        against the reported windows before anything is settled.
+        The back half of :meth:`run_day_columnar` and
+        :meth:`run_day_columnar_raw`: the consumption and Eq. 3-8
+        settlement chain.  The begin slots are (re)validated against the
+        reported windows before anything is settled.
         """
         starts = result.starts
         bad = (starts < reports.start) | (starts + reports.duration > reports.end)

@@ -30,7 +30,6 @@ recovered worker failure.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import asdict, dataclass, fields as dataclass_fields
 from typing import (
     TYPE_CHECKING,
@@ -42,8 +41,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from ..allocation.base import (
     AllocationProblem,
@@ -821,94 +818,6 @@ def _run_simulation_batch(
     if isinstance(neighborhood, SharedColumnarDay):
         neighborhood = neighborhood.neighborhood()
     return simulation.mechanism.run_days_columnar(neighborhood, rngs)
-
-
-def _solve_day_shard(
-    task: Tuple[SharedColumnarDay, int, int, Allocator, Any, int],
-) -> np.ndarray:
-    """Solve one contiguous row shard of a shared columnar day.
-
-    Compiles rows ``[lo, hi)`` straight from the shared segment (no copy)
-    and runs the allocator's columnar kernel on that slice alone; returns
-    the shard's begin-slot vector.
-    """
-    day, lo, hi, allocator, pricing, seed = task
-    compiled = day.compile_rows(lo, hi, pricing)
-    return allocator.solve_columnar(compiled, pricing, random.Random(seed)).starts
-
-
-def run_columnar_day_sharded(
-    mechanism: EnkiMechanism,
-    neighborhood: ColumnarNeighborhood,
-    shards: int,
-    workers: Optional[int] = 1,
-    rng: Optional[random.Random] = None,
-) -> ColumnarDayOutcome:
-    """One truthful columnar day with the allocation sharded across rows.
-
-    The city-scale (1M-household) path: the day is packed once into
-    shared memory, each worker compiles and solves a contiguous row slice
-    independently, and the parent concatenates the begin slots, validates
-    them and settles once through
-    :meth:`~repro.core.mechanism.EnkiMechanism.finish_day_columnar`.
-
-    Sharding changes the solution: each shard schedules against an empty
-    profile, blind to the others, so the result is an approximation of
-    the unsharded allocation (fine for the greedy allocator's throughput
-    studies; meaningless for an exact solver).  It is deterministic given
-    ``(neighborhood, shards, seed)`` — shard seeds are drawn from ``rng``
-    in shard order up front — and therefore bit-identical across worker
-    counts.  ``shards=1`` is exactly :meth:`~repro.core.mechanism.
-    EnkiMechanism.run_day_columnar`.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if isinstance(neighborhood, Neighborhood):
-        neighborhood = ColumnarNeighborhood.from_objects(neighborhood)
-    rng = rng if rng is not None else random.Random(mechanism._seed)
-    if shards == 1:
-        return mechanism.run_day_columnar(neighborhood, rng=rng)
-
-    started_at = time.perf_counter()
-    reports = ColumnarReports.truthful(neighborhood)
-    decisions: Tuple = ()
-    kept = np.ones(len(neighborhood), dtype=bool)
-    if mechanism.quarantine is not None:
-        screened = mechanism.quarantine.screen_columnar(
-            neighborhood,
-            reports.start.astype(float),
-            reports.end.astype(float),
-            reports.duration.astype(float),
-        )
-        reports = screened.accepted
-        kept = screened.kept
-        decisions = tuple(screened.decisions)
-        neighborhood = neighborhood.take(kept)
-    n = len(neighborhood)
-    shards = max(1, min(shards, n))
-    seeds = [spawn_seed(rng) for _ in range(shards)]
-    edges = [n * i // shards for i in range(shards + 1)]
-    with SharedArena() as arena:
-        day = arena.pack_day(neighborhood)
-        tasks = [
-            (day, edges[i], edges[i + 1], mechanism.allocator, mechanism.pricing,
-             seeds[i])
-            for i in range(shards)
-        ]
-        shard_starts = map_tasks(_solve_day_shard, tasks, workers=workers)
-    starts = np.concatenate(shard_starts) if shard_starts else np.zeros(0, np.intp)
-    profile = LoadProfile.from_arrays(
-        starts, starts + neighborhood.duration, neighborhood.rating
-    )
-    result = ColumnarAllocationResult(
-        starts=starts,
-        cost=mechanism.pricing.cost(profile),
-        wall_time_s=time.perf_counter() - started_at,
-        allocator_name=f"{mechanism.allocator.name}+shard{shards}",
-    )
-    return mechanism.finish_day_columnar(
-        neighborhood, reports, result, kept=kept, decisions=decisions
-    )
 
 
 class NeighborhoodSimulation:

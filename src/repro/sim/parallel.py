@@ -14,21 +14,28 @@ payload index and each payload's computation is a pure function of the
 payload (RNG substreams included), parallel output is bit-identical to
 serial output — only wall-clock time changes.
 
-The parallel path is hardened for unattended runs:
+The parallel path ships payloads as contiguous chunks, at most
+:data:`CHUNKS_PER_WORKER` per worker, so tiny days pay the pickling and
+dispatch cost once per chunk; four per worker balances the tail of uneven
+days against that cost.  It is hardened for unattended runs, and
+attributes every fault to one payload:
 
-* **Crash recovery** — a worker that dies (``BrokenProcessPool``) or
-  raises fails only its own payloads; those are retried in a fresh pool
-  with exponential backoff, and after ``retries`` attempts re-run inline
-  in the parent.  Purity makes every re-run bit-identical, and a payload
-  whose function *deterministically* raises still surfaces its original
-  exception from the inline run — same semantics as serial mode.
-* **Stall detection** — with ``timeout_s`` set, a round in which *no*
-  task completes for that long is declared hung: the worker processes are
-  killed and the unfinished payloads recycled through the retry path.
-  Set it comfortably above the slowest expected single task.
-* **Streaming results** — ``on_result(index, value)`` fires as each
-  payload first completes (completion order), enabling incremental
-  checkpointing; ``on_failure(failure)`` reports every
+* **Crash recovery** — a payload that raises inside a chunk is recorded
+  and the rest of its chunk still runs; a worker that dies
+  (``BrokenProcessPool``) leaves its chunk unfinished.  Each failed or
+  unfinished payload is retried alone in a fresh pool with exponential
+  backoff, and after ``retries`` attempts (counted per payload) re-run
+  inline in the parent.  Purity makes every re-run bit-identical, and a
+  payload whose function *deterministically* raises still surfaces its
+  original exception from the inline run — same semantics as serial mode.
+* **Stall detection** — with ``timeout_s`` set, a wait in which *no*
+  chunk completes within ``timeout_s`` per payload of the largest chunk in
+  flight is declared hung: the worker processes are killed and the
+  unfinished payloads recycled through the retry path.  Set it
+  comfortably above the slowest expected single task.
+* **Streaming results** — ``on_result(index, value)`` fires for each
+  payload the first time it completes, when its chunk returns, enabling
+  incremental checkpointing; ``on_failure(failure)`` reports every
   :class:`~repro.robustness.errors.WorkerFailure` for the audit trail.
 
 Worker functions must be module-level (picklable) and payloads must pickle;
@@ -62,6 +69,10 @@ DEFAULT_RETRIES = 2
 
 #: Default base of the exponential retry backoff, in seconds.
 DEFAULT_BACKOFF_S = 0.05
+
+#: The parallel path splits its payloads into at most this many
+#: contiguous chunks per worker.
+CHUNKS_PER_WORKER = 4
 
 #: Default retry-backoff jitter: each wait is stretched by up to this
 #: fraction, drawn uniformly, so a fleet of retrying callers (the shard
@@ -208,17 +219,34 @@ def _dump_worker_profile(profile_dir: str, pid: int) -> None:
         _logger.exception("failed to dump worker profile")
 
 
-def _call_chunk(fn: Callable[[_P], _R], chunk: Sequence[_P]) -> List[_R]:
-    """Run one submission unit in a worker (module-level: picklable)."""
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _call_chunk(
+    fn: Callable[[_P], _R], chunk: Sequence[_P]
+) -> List[Tuple[bool, object]]:
+    """Run one chunk in a worker (module-level: picklable).
+
+    Returns one ``(True, value)`` or ``(False, exception text)`` per
+    payload, in order: a payload that raises does not stop the rest of
+    its chunk.
+    """
     profile_dir = os.environ.get(WORKER_PROFILE_DIR_ENV)
-    if not profile_dir:
-        return [fn(payload) for payload in chunk]
-    profiler = _ensure_worker_profiler(profile_dir)
-    profiler.enable()
+    profiler = _ensure_worker_profiler(profile_dir) if profile_dir else None
+    if profiler is not None:
+        profiler.enable()
+    outcomes: List[Tuple[bool, object]] = []
     try:
-        return [fn(payload) for payload in chunk]
+        for payload in chunk:
+            try:
+                outcomes.append((True, fn(payload)))
+            except Exception as exc:
+                outcomes.append((False, _describe(exc)))
     finally:
-        profiler.disable()
+        if profiler is not None:
+            profiler.disable()
+    return outcomes
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -240,9 +268,9 @@ def _pool_round(
     timeout_s: Optional[float],
     results: Dict[int, _R],
     on_result: Optional[Callable[[int, _R], None]],
-) -> List[Tuple[Tuple[int, ...], str]]:
-    """One attempt at the unresolved units; returns the failed ones."""
-    failures: List[Tuple[Tuple[int, ...], str]] = []
+) -> List[Tuple[int, str]]:
+    """One attempt at the unresolved chunks; returns the failed payloads."""
+    failures: List[Tuple[int, str]] = []
     pool = ProcessPoolExecutor(max_workers=min(n_workers, len(units)))
     killed = False
     try:
@@ -253,35 +281,44 @@ def _pool_round(
         not_done = set(futures)
         fatal: Optional[str] = None
         while not_done and fatal is None:
+            # timeout_s budgets one payload; a chunk runs its payloads in turn.
+            window = None if timeout_s is None else timeout_s * max(
+                len(futures[future]) for future in not_done
+            )
             done, not_done = wait(
-                not_done, timeout=timeout_s, return_when=FIRST_COMPLETED
+                not_done, timeout=window, return_when=FIRST_COMPLETED
             )
             if not done:
                 fatal = (
-                    f"stalled: no task completed within {timeout_s}s "
+                    f"stalled: no task completed within {window}s "
                     "(presumed hung worker)"
                 )
                 break
             for future in done:
                 unit = futures[future]
                 try:
-                    values = future.result()
+                    outcomes = future.result()
                 except BrokenProcessPool as exc:
                     fatal = f"process pool broke: {exc!r}"
                     break
                 except Exception as exc:
-                    failures.append((unit, f"{type(exc).__name__}: {exc}"))
-                else:
-                    for index, value in zip(unit, values):
-                        results[index] = value
-                        if on_result is not None:
-                            on_result(index, value)
+                    failures.extend((index, _describe(exc)) for index in unit)
+                    continue
+                for index, (ok, value) in zip(unit, outcomes):
+                    if not ok:
+                        failures.append((index, value))
+                        continue
+                    results[index] = value
+                    if on_result is not None:
+                        on_result(index, value)
         if fatal is not None:
-            resolved = set(results)
-            failed = {i for unit, _ in failures for i in unit}
-            for unit in futures.values():
-                if unit[0] not in resolved and unit[0] not in failed:
-                    failures.append((unit, fatal))
+            failed = {index for index, _ in failures}
+            failures.extend(
+                (index, fatal)
+                for unit in futures.values()
+                for index in unit
+                if index not in results and index not in failed
+            )
             _kill_pool(pool)
             killed = True
     finally:
@@ -294,7 +331,6 @@ def map_tasks(
     fn: Callable[[_P], _R],
     payloads: Sequence[_P],
     workers: Optional[int] = 1,
-    chunksize: int = 1,
     timeout_s: Optional[float] = None,
     retries: int = DEFAULT_RETRIES,
     backoff_s: float = DEFAULT_BACKOFF_S,
@@ -308,11 +344,12 @@ def map_tasks(
         fn: A module-level (picklable) worker function.
         payloads: Picklable task descriptions; one ``fn`` call each.
         workers: Worker processes (see :func:`resolve_workers`); ``1`` runs
-            inline in this process with zero overhead.
-        chunksize: Payloads per worker dispatch for ``workers > 1``; also
-            the retry granularity (a failed chunk retries whole).
-        timeout_s: Stall detector for the parallel path: if no task
-            completes for this long, the pool is presumed hung, its
+            inline in this process with zero overhead.  More workers split
+            the payloads into ``min(len(payloads), 4 * workers)``
+            contiguous chunks of near-equal size.
+        timeout_s: Per-payload stall detector for the parallel path: if no
+            chunk completes within this long times the payload count of
+            the largest chunk in flight, the pool is presumed hung, its
             processes are killed and the unfinished payloads retried.
             ``None`` disables the detector.
         retries: How many pool re-attempts a failed payload gets (with
@@ -322,8 +359,8 @@ def map_tasks(
             :func:`backoff_delay`); ``0`` gives the bare exponential.
             Timing-only — results are identical for any value.
         on_result: Called as ``on_result(index, value)`` the first time
-            each payload completes — completion order in parallel runs,
-            submission order serially.  Must not raise.
+            each payload completes — as its chunk returns in parallel
+            runs, in submission order serially.  Must not raise.
         on_failure: Called with a :class:`WorkerFailure` for every failed
             attempt (crash, stall, or in-task exception); the failure is
             being handled — this hook exists for audit logging.
@@ -334,8 +371,6 @@ def map_tasks(
     """
     if retries < 0:
         raise ValueError(f"retries cannot be negative, got {retries}")
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     if jitter < 0:
         raise ValueError(f"jitter cannot be negative, got {jitter}")
     n_workers = resolve_workers(workers)
@@ -350,11 +385,7 @@ def map_tasks(
                 except Exception as exc:
                     attempt += 1
                     if on_failure is not None:
-                        on_failure(
-                            WorkerFailure(
-                                index, attempt, f"{type(exc).__name__}: {exc}"
-                            )
-                        )
+                        on_failure(WorkerFailure(index, attempt, _describe(exc)))
                     if attempt > retries:
                         raise
                     time.sleep(backoff_delay(attempt, backoff_s, jitter))
@@ -363,37 +394,36 @@ def map_tasks(
                 on_result(index, value)
         return serial
 
-    indices = list(range(len(payloads)))
-    units: List[Tuple[int, ...]] = [
-        tuple(indices[at:at + chunksize]) for at in range(0, len(indices), chunksize)
+    n = len(payloads)
+    n_chunks = min(n, CHUNKS_PER_WORKER * n_workers)
+    pending: List[Tuple[int, ...]] = [
+        tuple(range(n * c // n_chunks, n * (c + 1) // n_chunks))
+        for c in range(n_chunks)
     ]
     results: Dict[int, _R] = {}
-    attempts: Dict[Tuple[int, ...], int] = {unit: 0 for unit in units}
-    pending = units
+    attempts = [0] * n
     while pending:
         failures = _pool_round(
             fn, payloads, pending, n_workers, timeout_s, results, on_result
         )
-        retry_units: List[Tuple[int, ...]] = []
+        pending = []
         round_attempts = 0
-        for unit, cause in failures:
-            attempts[unit] += 1
-            round_attempts = max(round_attempts, attempts[unit])
+        for index, cause in failures:
+            attempts[index] += 1
+            round_attempts = max(round_attempts, attempts[index])
             if on_failure is not None:
-                on_failure(WorkerFailure(unit[0], attempts[unit], cause))
-            if attempts[unit] > retries:
+                on_failure(WorkerFailure(index, attempts[index], cause))
+            if attempts[index] > retries:
                 # Last resort: recompute inline.  Purity keeps the value
                 # bit-identical; a payload whose fn deterministically
                 # raises surfaces its genuine exception here, exactly as
                 # a serial run would.
-                for index in unit:
-                    value = fn(payloads[index])
-                    results[index] = value
-                    if on_result is not None:
-                        on_result(index, value)
+                value = fn(payloads[index])
+                results[index] = value
+                if on_result is not None:
+                    on_result(index, value)
             else:
-                retry_units.append(unit)
-        if retry_units:
+                pending.append((index,))
+        if pending:
             time.sleep(backoff_delay(round_attempts, backoff_s, jitter))
-        pending = retry_units
-    return [results[index] for index in indices]
+    return [results[index] for index in range(n)]

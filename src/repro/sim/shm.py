@@ -16,19 +16,20 @@ backed by :class:`multiprocessing.shared_memory.SharedMemory` instead:
 * :class:`SharedColumnarDay` — a tiny picklable descriptor (segment name
   + array specs) that reconstructs a read-only
   :class:`~repro.core.columnar.ColumnarNeighborhood` view inside a worker
-  without copying a byte, or compiles a contiguous row slice straight
-  into a :class:`~repro.allocation.arrays.CompiledProblem` for sharded
-  solves.
+  without copying a byte.
 * :func:`share_floats` / :func:`attach_floats` (via the arena) — a small
   writable float64 board used by the parallel branch and bound to share
   incumbent bounds across subtree workers.
 
-Worker-side attachments are cached per segment name and immediately
-unregistered from the :mod:`multiprocessing` resource tracker: ownership
-(and the unlink responsibility) stays with the creating process, which
-avoids the Python 3.11 double-registration warnings on attach.  The
-trade-off is that a SIGKILLed *parent* leaves its segments to the OS; a
-SIGKILLed *worker* leaks nothing because it never owned anything.
+Worker-side attachments are cached per segment name.  Ownership (and the
+unlink responsibility) stays with the creating process.  Pool workers
+share their parent's :mod:`multiprocessing` resource tracker, which holds
+each segment name once: attaching registers the name again, which changes
+nothing, so a worker must never unregister it — that would delete the
+parent's own registration, and the tracker would print a ``KeyError``
+traceback when the parent later unlinks the segment.  A SIGKILLed
+*worker* leaks nothing because it never owned anything; a SIGKILLed
+*parent* leaves its segments to the tracker's exit sweep.
 
 Household ids travel as a fixed-width ``S`` byte array inside the segment
 when they are ASCII (the generated ``hh000...`` ids always are), with a
@@ -44,13 +45,11 @@ import secrets
 from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..allocation.arrays import CompiledProblem
 from ..core.columnar import ColumnarNeighborhood
-from ..pricing.base import PricingModel
 
 #: Byte alignment of every array packed into a segment.
 _ALIGN = 64
@@ -79,12 +78,7 @@ def active_segments() -> Tuple[str, ...]:
 
 
 def _unregister_tracker(segment: shared_memory.SharedMemory) -> None:
-    """Drop ``segment`` from the resource tracker (best effort).
-
-    On 3.11 attaching registers the name again; the creating process owns
-    cleanup, so a second registration only produces spurious unlink
-    attempts at interpreter shutdown.
-    """
+    """Drop ``segment`` from the resource tracker (best effort)."""
     try:
         resource_tracker.unregister(
             getattr(segment, "_name", segment.name), "shared_memory"
@@ -103,7 +97,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
         _ATTACHED.move_to_end(name)
         return segment
     segment = shared_memory.SharedMemory(name=name, create=False)
-    _unregister_tracker(segment)
     _ATTACHED[name] = segment
     while len(_ATTACHED) > _CACHE_LIMIT:
         _, stale = _ATTACHED.popitem(last=False)
@@ -407,31 +400,6 @@ class SharedColumnarDay:
                 valuation=views["valuation"],
             )
         return cached[1]
-
-    def compile_rows(
-        self, lo: int, hi: int, pricing: Optional[PricingModel]
-    ) -> CompiledProblem:
-        """Compile rows ``[lo, hi)`` (truthful windows) without copying.
-
-        The shard entry point for row-sharded solves: each worker lowers
-        only its contiguous slice into a
-        :class:`~repro.allocation.arrays.CompiledProblem`.
-        """
-        if not 0 <= lo <= hi <= self.n:
-            raise ValueError(f"rows [{lo}, {hi}) outside [0, {self.n})")
-        views = self._entry()
-        if self.ids_encoding == "bytes":
-            ids = tuple(views["ids"][lo:hi].astype(np.str_).tolist())
-        else:
-            ids = self.ids()[lo:hi]
-        return CompiledProblem.from_arrays(
-            ids=ids,
-            win_start=views["true_start"][lo:hi],
-            win_end=views["true_end"][lo:hi],
-            duration=views["duration"][lo:hi],
-            rating=views["rating"][lo:hi],
-            pricing=pricing,
-        )
 
 
 def _decode_ids(arr: np.ndarray, encoding: str) -> Tuple[str, ...]:

@@ -17,7 +17,6 @@ between runs and carry no scheduling information.
 
 import os
 import pickle
-import random
 import time
 
 import numpy as np
@@ -26,13 +25,11 @@ import pytest
 from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.core.mechanism import EnkiMechanism
+from repro.io.audit import AuditLog
+from repro.robustness import ChaosInjector, ChaosPlan
 from repro.sim import parallel as parallel_mod
 from repro.sim import shm
-from repro.sim.engine import (
-    NeighborhoodSimulation,
-    SocialWelfareStudy,
-    run_columnar_day_sharded,
-)
+from repro.sim.engine import NeighborhoodSimulation, SocialWelfareStudy
 from repro.sim.parallel import available_cores, map_tasks, resolve_workers
 from repro.sim.profiles import ProfileGenerator, neighborhood_from_profiles
 from repro.sim.rng import make_day_rngs
@@ -306,20 +303,6 @@ class TestSharedArena:
             view[2] = 7.5
             assert arena.floats(name, 4)[2] == 7.5
 
-    def test_compile_rows_matches_full_compile(self):
-        neighborhood = _columnar_neighborhood(n=30)
-        with shm.SharedArena() as arena:
-            day = arena.pack_day(neighborhood)
-            compiled = day.compile_rows(5, 20, None)
-            assert compiled.ids == neighborhood.ids[5:20]
-            np.testing.assert_array_equal(
-                np.asarray(compiled.duration), neighborhood.duration[5:20]
-            )
-            with pytest.raises(ValueError):
-                day.compile_rows(-1, 5, None)
-            with pytest.raises(ValueError):
-                day.compile_rows(0, len(neighborhood) + 1, None)
-
     def test_exotic_ids_take_pickle_route(self):
         encoding, _ = shm._encode_ids(("hh0", "hh1"))
         assert encoding == "bytes"
@@ -327,36 +310,6 @@ class TestSharedArena:
             encoding, arr = shm._encode_ids(ids)
             assert encoding == "pickle"
             assert shm._decode_ids(arr, encoding) == tuple(ids)
-
-
-class TestShardedColumnarDay:
-    def test_shards_one_equals_unsharded_day(self):
-        neighborhood = _columnar_neighborhood(n=25)
-        mechanism = EnkiMechanism(seed=0)
-        direct = mechanism.run_day_columnar(neighborhood, rng=random.Random(7))
-        sharded = run_columnar_day_sharded(
-            mechanism, neighborhood, shards=1, rng=random.Random(7)
-        )
-        assert _columnar_outcome_key([direct]) == _columnar_outcome_key([sharded])
-
-    def test_worker_count_does_not_change_sharded_day(self):
-        neighborhood = _columnar_neighborhood(n=60)
-        mechanism = EnkiMechanism(seed=0)
-        serial = run_columnar_day_sharded(
-            mechanism, neighborhood, shards=3, workers=1, rng=random.Random(7)
-        )
-        fanned = run_columnar_day_sharded(
-            mechanism, neighborhood, shards=3, workers=4, rng=random.Random(7)
-        )
-        assert _columnar_outcome_key([serial]) == _columnar_outcome_key([fanned])
-        assert serial.allocation_result.allocator_name.endswith("+shard3")
-        assert shm.active_segments() == ()
-
-    def test_rejects_nonpositive_shards(self):
-        with pytest.raises(ValueError):
-            run_columnar_day_sharded(
-                EnkiMechanism(seed=0), _columnar_neighborhood(n=5), shards=0
-            )
 
 
 # ----------------------------------------------------- retry backoff pacing
@@ -442,6 +395,101 @@ class TestStallAndInlineRerun:
         assert result == [12, 15]
         assert sorted(f.attempt for f in failures) == [1, 1, 2, 2]
         assert all("child-only fault" in f.cause for f in failures)
+
+
+def _counted_square(task):
+    """Squares ``index``, counting calls per payload; payload ``fuse`` raises once."""
+    directory, index, fuse = task
+    with open(os.path.join(directory, f"calls-{index}"), "a") as handle:
+        handle.write(".")
+    if index == fuse:
+        try:
+            fd = os.open(
+                os.path.join(directory, "fuse"), os.O_CREAT | os.O_EXCL | os.O_WRONLY
+            )
+        except FileExistsError:
+            pass
+        else:
+            os.close(fd)
+            raise RuntimeError(f"fuse blown on payload {index}")
+    return index * index
+
+
+def _sleepy(value):
+    time.sleep(0.4)
+    return value
+
+
+class TestChunkedFanOut:
+    """40 payloads on 2 workers travel as 8 chunks of 5 payloads each."""
+
+    def test_chunks_keep_order_and_stream_each_payload_once(self, tmp_path):
+        tasks = [(str(tmp_path), i, None) for i in range(40)]
+        seen = []
+        out = map_tasks(
+            _counted_square, tasks, workers=2,
+            on_result=lambda i, v: seen.append((i, v)),
+        )
+        assert out == [i * i for i in range(40)]
+        assert sorted(seen) == [(i, i * i) for i in range(40)]
+
+    def test_failure_mid_chunk_names_its_payload_and_spares_the_rest(
+        self, tmp_path
+    ):
+        # Payload 17 sits in the middle of the chunk holding payloads 15-19.
+        tasks = [(str(tmp_path), i, 17) for i in range(40)]
+        failures = []
+        out = map_tasks(
+            _counted_square, tasks, workers=2, backoff_s=0.0,
+            on_failure=failures.append,
+        )
+        assert out == [i * i for i in range(40)]
+        assert [(f.index, f.attempt) for f in failures] == [(17, 1)]
+        assert "fuse blown on payload 17" in failures[0].cause
+        calls = {i: len((tmp_path / f"calls-{i}").read_text()) for i in range(40)}
+        assert calls == {i: 2 if i == 17 else 1 for i in range(40)}
+
+    def test_stall_window_scales_with_chunk_length(self):
+        # 16 payloads on 2 workers make chunks of 2.  A chunk takes 0.8 s,
+        # longer than timeout_s but inside the 2 x 0.5 s window it earns.
+        failures = []
+        out = map_tasks(
+            _sleepy, list(range(16)), workers=2, timeout_s=0.5,
+            on_failure=failures.append,
+        )
+        assert out == list(range(16))
+        assert failures == []
+
+
+@pytest.mark.chaos
+class TestChunkedChaos:
+    """Crashes inside multi-day chunks of an object-path simulation."""
+
+    DAYS = 40
+
+    def _run(self, tmp_path, kill, audit=None):
+        plan = ChaosPlan(root=5, crash_days=frozenset({13, 27}))
+        injector = ChaosInjector(
+            plan, fault_dir=str(tmp_path / "faults"), kill=kill
+        )
+        simulation = NeighborhoodSimulation(EnkiMechanism(seed=0), chaos=injector)
+        return simulation.run(
+            _neighborhood(), days=self.DAYS, seed=SEED, workers=2, audit=audit
+        )
+
+    def test_crash_is_attributed_to_its_day(self, tmp_path):
+        audit = AuditLog(str(tmp_path / "audit.jsonl"))
+        self._run(tmp_path, kill=False, audit=audit)
+        crashes = list(audit.events(kind="worker_failure"))
+        assert sorted(e.day for e in crashes) == [13, 27]
+
+    def test_killed_chunk_recovers_to_the_serial_outcomes(self, tmp_path):
+        chaotic = self._run(tmp_path, kill=True)
+        clean = NeighborhoodSimulation(EnkiMechanism(seed=0)).run(
+            _neighborhood(), days=self.DAYS, seed=SEED
+        )
+        assert _outcome_key(chaotic) == _outcome_key(clean)
+        assert shm.active_segments() == ()
 
 
 class TestArenaAtexitInterplay:

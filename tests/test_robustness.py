@@ -398,8 +398,6 @@ class TestHardenedMapTasks:
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
             map_tasks(_always_fails, [], retries=-1)
-        with pytest.raises(ValueError):
-            map_tasks(_always_fails, [], chunksize=0)
 
 
 # --------------------------------------------------------------- checkpoint

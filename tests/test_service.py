@@ -12,6 +12,8 @@ acceptance gate lives in ``TestServiceChaosAcceptance``.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -390,6 +392,22 @@ class TestShardService:
         assert result.settled == 6
         assert result.overload_rejections > 0
         assert result.all_budget_balanced()
+
+    def test_pooled_city_prints_no_tracker_traceback(self):
+        # Shards packed after the pool forked reach workers by name.  A
+        # worker that dropped such a name from the resource tracker it
+        # shares with the parent made the parent's unlink print a KeyError
+        # traceback per shard.  The tracker writes to the stderr of the
+        # interpreter that started it, so the city runs in a fresh one.
+        script = (
+            "from repro.service.city import serve_city\n"
+            "serve_city(4000, shards=4, workers=2, queue_capacity=1)\n"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert "Traceback" not in child.stderr
 
     def test_overload_error_carries_retry_after(self):
         neighborhood, seed = sample_shard(SEED, 0, 10)
