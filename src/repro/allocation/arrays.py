@@ -17,15 +17,13 @@ relaxation bounds and the branch-and-bound solver all share:
   with reverse cumulative sums instead of the seed's O(n^2 * 24) Python
   loops.
 
-Compilation is cached per problem object (weakly), so the warm-start
-greedy running inside the exact solver reuses the same compiled view as
-a standalone greedy solve on the same day instance.
+:func:`compile_problem` caches the lowering on the problem object, so the
+warm-start greedy running inside the exact solver reuses the same compiled
+view as a standalone greedy solve on the same day instance.
 """
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -274,24 +272,6 @@ def _rebuild_compiled(
     return compiled
 
 
-#: Weak per-problem compilation cache: the warm-start greedy inside the
-#: exact solver sees the same ``AllocationProblem`` object as a standalone
-#: solve, so the lowering is paid once per day instance.
-_COMPILE_CACHE: "weakref.WeakKeyDictionary[AllocationProblem, CompiledProblem]" = (
-    weakref.WeakKeyDictionary()
-)
-
-#: Content-keyed LRU behind the weak cache.  The weak layer only helps
-#: while the *same* ``AllocationProblem`` object is alive; drivers that
-#: rebuild the problem from identical reports every call (the fig7
-#: best-response sweep re-running one candidate day per repeat, a fixed
-#: neighborhood simulated over many days) used to recompile silently on
-#: every solve.  ``items`` tuples are frozen dataclasses, so identical
-#: content hashes identically and the lowering is paid once per unique
-#: day instance.
-_CONTENT_CACHE: "OrderedDict[Tuple, CompiledProblem]" = OrderedDict()
-_CONTENT_CACHE_CAPACITY = 256
-
 _COMPILE_STATS = {"hits": 0, "misses": 0}
 
 
@@ -300,55 +280,27 @@ def compile_cache_stats() -> Dict[str, int]:
     return dict(_COMPILE_STATS)
 
 
-def reset_compile_cache(stats_only: bool = False) -> None:
-    """Zero the counters (and, unless ``stats_only``, drop cached entries)."""
+def reset_compile_cache() -> None:
+    """Zero the counters (the cached views live on their problems)."""
     _COMPILE_STATS["hits"] = 0
     _COMPILE_STATS["misses"] = 0
-    if not stats_only:
-        _CONTENT_CACHE.clear()
-
-
-def _content_key(problem: AllocationProblem) -> Tuple:
-    """Hashable identity of everything :meth:`from_items` reads.
-
-    The lowering consumes the item tuple plus (for quadratic pricing)
-    ``sigma``; two problems agreeing on those compile to interchangeable
-    views whatever else their pricing objects differ on.
-    """
-    sigma = (
-        problem.pricing.sigma
-        if isinstance(problem.pricing, QuadraticPricing)
-        else None
-    )
-    return (problem.items, sigma)
 
 
 def compile_problem(problem: AllocationProblem) -> CompiledProblem:
-    """The problem's :class:`CompiledProblem`, cached per object and content.
+    """The problem's :class:`CompiledProblem`, lowered once per object.
 
-    Lookup order: the weak per-object cache (free for repeat solves on
-    one live problem object), then the content-keyed LRU (catches
-    identical instances rebuilt from scratch).  Hit/miss counters are
-    exposed via :func:`compile_cache_stats`; a content hit also
-    repopulates the weak layer for the new object.
+    The view is stored on the problem itself, so every solver handed the
+    same ``AllocationProblem`` (the exact solver, its warm-start greedy,
+    the hill climber) shares one lowering without hashing the items.
+    Hit/miss counters are exposed via :func:`compile_cache_stats`.
     """
-    compiled = _COMPILE_CACHE.get(problem)
+    compiled = problem.__dict__.get("_compiled")
     if compiled is not None:
-        _COMPILE_STATS["hits"] += 1
-        return compiled
-    key = _content_key(problem)
-    compiled = _CONTENT_CACHE.get(key)
-    if compiled is not None:
-        _CONTENT_CACHE.move_to_end(key)
-        _COMPILE_CACHE[problem] = compiled
         _COMPILE_STATS["hits"] += 1
         return compiled
     _COMPILE_STATS["misses"] += 1
     compiled = CompiledProblem.from_items(problem.items, problem.pricing)
-    _COMPILE_CACHE[problem] = compiled
-    _CONTENT_CACHE[key] = compiled
-    while len(_CONTENT_CACHE) > _CONTENT_CACHE_CAPACITY:
-        _CONTENT_CACHE.popitem(last=False)
+    object.__setattr__(problem, "_compiled", compiled)
     return compiled
 
 

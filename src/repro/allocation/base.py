@@ -142,9 +142,9 @@ class AllocationResult:
 
     ``kernel_backend`` names the :mod:`repro.kernels` build that ran the
     solver's hot loop (:func:`repro.kernels.active_backend`, always
-    ``"python"``; empty on the object greedy path and for allocators
-    without a kernelized loop).  Kept for provenance and so serialized
-    results stay readable.
+    ``"python"`` for the greedy family on every path, the object
+    ``solve`` included; empty for allocators without a kernelized loop).
+    Kept for provenance and so serialized results stay readable.
 
     ``cache_hit`` is provenance from
     :class:`repro.allocation.cache.AllocationCache`: ``True`` when this
@@ -175,6 +175,13 @@ class ColumnarAllocationResult:
     compiled problem; no per-household ``Interval`` objects are built.
     :meth:`to_result` bridges back to :class:`AllocationResult` when a
     consumer needs the dict-of-intervals form.
+
+    ``order`` lists the rows in the order the allocator placed them (the
+    greedy's processing order, a bridged allocator's insertion order);
+    ``None`` means row order.  :meth:`to_result` inserts the households
+    in that order, because consumers that sum over the map
+    (:meth:`~repro.pricing.load_profile.LoadProfile.from_schedule`)
+    accumulate floats in dict order.
     """
 
     starts: np.ndarray
@@ -189,14 +196,16 @@ class ColumnarAllocationResult:
     root_bound_matched: bool = False
     kernel_backend: str = ""
     cache_hit: bool = False
+    order: Optional[np.ndarray] = None
 
     def to_result(self, compiled: "CompiledProblem") -> AllocationResult:
         """Materialize the dict-of-intervals :class:`AllocationResult`."""
+        ids = compiled.ids
         durations = compiled.duration.tolist()
         starts = self.starts.tolist()
+        rows = range(len(ids)) if self.order is None else self.order.tolist()
         allocation = {
-            hid: Interval(s, s + v)
-            for hid, s, v in zip(compiled.ids, starts, durations)
+            ids[i]: Interval(starts[i], starts[i] + durations[i]) for i in rows
         }
         return AllocationResult(
             allocation=allocation,
@@ -269,17 +278,31 @@ class Allocator(abc.ABC):
 
         The default bridges through the object path — materialize the
         ``AllocationProblem``, call :meth:`solve`, and gather the begin
-        slots back into a vector — so every allocator works in columnar
-        mode at paper sizes.  Allocators with a native array kernel (the
-        greedy one) override this to skip the objects entirely.
+        slots (in the map's insertion order) back into vectors — so every
+        allocator works in columnar mode at paper sizes.  Allocators with
+        a native array kernel (the greedy one) override this to skip the
+        objects entirely.
+
+        Raises:
+            InfeasibleAllocationError: When the map is not one block of
+                each household's duration inside its window, for exactly
+                the compiled households — begin slots could not carry it.
         """
         problem = problem_from_compiled(compiled, pricing)
         result = self.solve(problem, rng)
-        starts = np.fromiter(
-            (result.allocation[hid].start for hid in compiled.ids),
-            dtype=np.intp,
-            count=len(compiled.ids),
+        allocation = result.allocation
+        if len(allocation) != len(compiled) or not problem.is_feasible(allocation):
+            from ..robustness.errors import InfeasibleAllocationError
+
+            raise InfeasibleAllocationError(
+                self.name, "allocation violates window/duration constraints"
+            )
+        index_of = compiled.index_of
+        order = np.fromiter(
+            (index_of[hid] for hid in allocation), dtype=np.intp, count=len(allocation)
         )
+        starts = np.zeros(len(compiled), dtype=np.intp)
+        starts[order] = [interval.start for interval in allocation.values()]
         return ColumnarAllocationResult(
             starts=starts,
             cost=result.cost,
@@ -293,6 +316,7 @@ class Allocator(abc.ABC):
             root_bound_matched=result.root_bound_matched,
             kernel_backend=result.kernel_backend,
             cache_hit=result.cache_hit,
+            order=order,
         )
 
     def cache_token(self) -> Optional[str]:

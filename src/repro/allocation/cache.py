@@ -3,9 +3,9 @@
 Figure sweeps revisit identical day instances: fig4/5/6 share seeds
 across mechanism variants, ablations re-run the same days under one
 changed knob, and a warm re-run of a whole study repeats every solve
-verbatim.  :class:`AllocationCache` memoizes columnar (and object-path)
-solves under a stable content key so those replays skip the allocator
-entirely.
+verbatim.  :class:`AllocationCache` memoizes columnar solves (the object
+mechanism day lowers its reports to the columnar path too) under a stable
+content key so those replays skip the allocator entirely.
 
 The key has two layers:
 
@@ -45,19 +45,14 @@ import tempfile
 import time
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..kernels import active_backend
 from ..pricing.base import PricingModel
-from .arrays import CompiledProblem, compile_problem
-from .base import (
-    AllocationProblem,
-    AllocationResult,
-    Allocator,
-    ColumnarAllocationResult,
-)
+from .arrays import CompiledProblem
+from .base import Allocator, ColumnarAllocationResult
 
 
 def problem_digest(compiled: CompiledProblem) -> str:
@@ -88,10 +83,6 @@ def _rng_token(rng: Optional[random.Random]) -> str:
     return hashlib.sha256(repr(rng.getstate()).encode("ascii")).hexdigest()[:16]
 
 
-#: Either result representation the cache can hold.
-CachedResult = Union[AllocationResult, ColumnarAllocationResult]
-
-
 class AllocationCache:
     """Bounded LRU (plus optional on-disk store) of allocation results.
 
@@ -113,7 +104,7 @@ class AllocationCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.directory = os.fspath(directory) if directory is not None else None
-        self._memory: "OrderedDict[str, CachedResult]" = OrderedDict()
+        self._memory: "OrderedDict[str, ColumnarAllocationResult]" = OrderedDict()
         self._stats = {"hits": 0, "misses": 0, "bypassed": 0, "stored": 0}
 
     # -- introspection ------------------------------------------------
@@ -132,7 +123,6 @@ class AllocationCache:
         allocator: Allocator,
         compiled: CompiledProblem,
         rng: Optional[random.Random],
-        path: str = "col",
     ) -> Optional[str]:
         """The full cache key, or ``None`` when the allocator is uncacheable."""
         token = allocator.cache_token()
@@ -140,7 +130,7 @@ class AllocationCache:
             return None
         return "-".join(
             (
-                path,
+                "col",
                 problem_digest(compiled),
                 hashlib.sha256(token.encode("utf-8")).hexdigest()[:16],
                 active_backend(),
@@ -148,7 +138,7 @@ class AllocationCache:
             )
         )
 
-    # -- the memoized solve entry points ------------------------------
+    # -- the memoized solve -------------------------------------------
 
     def solve_columnar(
         self,
@@ -158,7 +148,7 @@ class AllocationCache:
         rng: Optional[random.Random] = None,
     ) -> ColumnarAllocationResult:
         """``allocator.solve_columnar`` through the cache."""
-        key = self.key_for(allocator, compiled, rng, path="col")
+        key = self.key_for(allocator, compiled, rng)
         if key is None:
             self._stats["bypassed"] += 1
             return allocator.solve_columnar(compiled, pricing, rng)
@@ -177,40 +167,9 @@ class AllocationCache:
             self._put(key, result)
         return result
 
-    def solve(
-        self,
-        allocator: Allocator,
-        problem: AllocationProblem,
-        rng: Optional[random.Random] = None,
-    ) -> AllocationResult:
-        """``allocator.solve`` through the cache (the object-path twin).
-
-        Keys through the problem's compiled view (shared with the
-        solvers via :func:`compile_problem`), under a distinct namespace
-        from columnar entries — the two result shapes never alias.
-        """
-        key = self.key_for(allocator, compile_problem(problem), rng, path="obj")
-        if key is None:
-            self._stats["bypassed"] += 1
-            return allocator.solve(problem, rng)
-        started_at = time.perf_counter()
-        stored = self._get(key)
-        if stored is not None:
-            self._stats["hits"] += 1
-            return replace(
-                stored,
-                cache_hit=True,
-                wall_time_s=time.perf_counter() - started_at,
-            )
-        self._stats["misses"] += 1
-        result = allocator.solve(problem, rng)
-        if allocator.result_cacheable(result):
-            self._put(key, result)
-        return result
-
     # -- storage ------------------------------------------------------
 
-    def _get(self, key: str) -> Optional[CachedResult]:
+    def _get(self, key: str) -> Optional[ColumnarAllocationResult]:
         entry = self._memory.get(key)
         if entry is not None:
             self._memory.move_to_end(key)
@@ -226,7 +185,7 @@ class AllocationCache:
             return entry
         return None
 
-    def _put(self, key: str, result: CachedResult) -> None:
+    def _put(self, key: str, result: ColumnarAllocationResult) -> None:
         self._remember(key, result)
         self._stats["stored"] += 1
         if self.directory is not None:
@@ -242,7 +201,7 @@ class AllocationCache:
                 except OSError:
                     pass
 
-    def _remember(self, key: str, result: CachedResult) -> None:
+    def _remember(self, key: str, result: ColumnarAllocationResult) -> None:
         self._memory[key] = result
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:

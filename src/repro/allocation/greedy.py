@@ -7,22 +7,22 @@ that minimally increases the neighborhood cost given the blocks placed so
 far.  One pass, O(n log n + n * W * v) — the tractability half of the
 paper's Figure 6 comparison.
 
-Every solve path fixes the processing order and hands the placement to
+Every solve path fixes the processing order with the one ``_order`` hook
+(one ``flexibility_vector`` call and one ``np.lexsort`` with a random tie
+key per household, drawn in row order; subclasses such as the ordering
+ablation's arrival-order greedy override it) and hands the placement to
 the one scalar sweep, :func:`repro.kernels.placement.place_day` (or
 :func:`~repro.kernels.placement.place_batch` for a batch of days):
 
-* :meth:`GreedyFlexibilityAllocator.solve` — the object path over
-  ``AllocationItem``s, ordered by a ``sorted`` key of (flexibility,
-  random tie key).
-* :meth:`GreedyFlexibilityAllocator.solve_columnar` — the large-n path:
-  one ``flexibility_vector`` call and one ``np.lexsort`` with the same
-  tie keys, drawn in row order.
+* :meth:`GreedyFlexibilityAllocator.solve` — the object path: the
+  problem's compiled view, solved as below and materialized.
+* :meth:`GreedyFlexibilityAllocator.solve_columnar` — the array path,
+  no per-household objects.
 * :meth:`GreedyFlexibilityAllocator.solve_columnar_batch` — D days fused
   into one ``place_batch`` call.
 
-The two orderings agree, and the sweep is shared, so the object and
-columnar paths pick identical placements for any ratings (pinned by
-``tests/test_columnar_equivalence.py``).
+Each result records its processing order, so the materialized allocation
+map lists households in the order they were placed, on every path.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.flexibility import flexibility_vector
-from ..core.intervals import Interval
-from ..core.types import AllocationMap, HouseholdId
+from ..core.types import HouseholdId
 from ..kernels import active_backend
 from ..kernels.placement import place_batch, place_day
 from ..pricing.base import PricingModel
@@ -89,49 +88,40 @@ class GreedyFlexibilityAllocator(Allocator):
     def cache_token(self) -> str:
         """Greedy solves are pure in (problem, rng): memoizable.
 
-        The token pins the processing order and the fallback tie-break
-        seed (consulted only when a solve is not handed an rng) — the two
-        constructor knobs that change the answer.
+        The token pins the allocator's ``name`` (subclasses that override
+        :meth:`_order` carry their own), the processing direction and the
+        fallback tie-break seed (consulted only when a solve is not handed
+        an rng) — everything that changes the answer.
         """
-        return f"enki-greedy:asc={self.ascending}:seed={self._seed}"
+        return f"{self.name}:asc={self.ascending}:seed={self._seed}"
+
+    def _order(self, compiled: CompiledProblem, rng: random.Random) -> np.ndarray:
+        """Rows in processing order: by flexibility, random tie key second.
+
+        The tie keys are drawn in row order, one per household; the stable
+        ``np.lexsort`` over ``(tie_key, flexibility)`` is the order a
+        ``sorted`` key of ``(flexibility, tie_key)`` gives.
+        """
+        flex = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        keys = np.array([rng.random() for _ in range(len(compiled))])
+        return np.lexsort((keys, flex if self.ascending else -flex))
+
+    def _rows_in_order(
+        self, compiled: CompiledProblem, rng: Optional[random.Random]
+    ) -> np.ndarray:
+        """:meth:`_order` as an index vector; an empty day draws nothing."""
+        if len(compiled) == 0:
+            return np.zeros(0, dtype=np.intp)
+        rng = rng if rng is not None else random.Random(self._seed)
+        return np.asarray(self._order(compiled, rng), dtype=np.intp)
 
     def solve(
         self, problem: AllocationProblem, rng: Optional[random.Random] = None
     ) -> AllocationResult:
-        started_at = time.perf_counter()
-        rng = rng if rng is not None else random.Random(self._seed)
         compiled = compile_problem(problem)
-        order = self._order(compiled, rng) if len(compiled) else []
-        starts_out = np.zeros(len(compiled), dtype=np.intp)
-        place_day(
-            order,
-            compiled.win_start,
-            compiled.win_end,
-            compiled.duration,
-            compiled.rating,
-            problem.pricing,
-            starts_out,
-        )
-        starts = starts_out.tolist()
-        allocation: AllocationMap = {}
-        for i in order:
-            item = problem.items[i]
-            allocation[item.household_id] = Interval(
-                starts[i], starts[i] + item.duration
-            )
-        return self._finish(problem, allocation, started_at)
-
-    def _order(self, compiled: CompiledProblem, rng: random.Random) -> List[int]:
-        """Rows in processing order: by flexibility, random tie key second.
-
-        The tie keys are drawn in row order, one per household.
-        """
-        scores = flexibility_vector(
-            compiled.win_start, compiled.win_end, compiled.duration
-        ).tolist()
-        if not self.ascending:
-            scores = [-score for score in scores]
-        return sorted(range(len(scores)), key=lambda i: (scores[i], rng.random()))
+        return self.solve_columnar(compiled, problem.pricing, rng).to_result(compiled)
 
     def solve_columnar(
         self,
@@ -139,33 +129,10 @@ class GreedyFlexibilityAllocator(Allocator):
         pricing: PricingModel,
         rng: Optional[random.Random] = None,
     ) -> ColumnarAllocationResult:
-        """The large-n greedy kernel: no per-household objects.
-
-        Flexibility scores come from one :func:`flexibility_vector` call;
-        the processing order is one stable ``np.lexsort`` over
-        ``(tie_key, flexibility)`` with tie keys drawn in row order from
-        ``rng`` (the same draw sequence the object path's ``sorted`` key
-        function consumes); the ordered-placement sweep itself runs in
-        :func:`repro.kernels.placement.place_day`.
-        """
+        """The greedy on a compiled day: no per-household objects."""
         started_at = time.perf_counter()
-        rng = rng if rng is not None else random.Random(self._seed)
-        n = len(compiled)
-        starts_out = np.zeros(n, dtype=np.intp)
-        if n == 0:
-            return ColumnarAllocationResult(
-                starts=starts_out,
-                cost=pricing.cost(LoadProfile()),
-                wall_time_s=time.perf_counter() - started_at,
-                allocator_name=self.name,
-                kernel_backend=active_backend(),
-            )
-
-        flex = flexibility_vector(
-            compiled.win_start, compiled.win_end, compiled.duration
-        )
-        keys = np.array([rng.random() for _ in range(n)])
-        order = np.lexsort((keys, flex if self.ascending else -flex))
+        order = self._rows_in_order(compiled, rng)
+        starts = np.zeros(len(compiled), dtype=np.intp)
         backend = place_day(
             order,
             compiled.win_start,
@@ -173,21 +140,20 @@ class GreedyFlexibilityAllocator(Allocator):
             compiled.duration,
             compiled.rating,
             pricing,
-            starts_out,
+            starts,
         )
-
-        # Cost through the same difference-array builder the object path's
-        # ``problem.cost`` uses, rows in compiled order, so the float
-        # accumulation sequence matches bit for bit.
+        # Cost through the difference-array builder, rows in compiled
+        # order: the float accumulation sequence of ``problem.cost``.
         profile = LoadProfile.from_arrays(
-            starts_out, starts_out + compiled.duration, compiled.rating
+            starts, starts + compiled.duration, compiled.rating
         )
         return ColumnarAllocationResult(
-            starts=starts_out,
+            starts=starts,
             cost=pricing.cost(profile),
             wall_time_s=time.perf_counter() - started_at,
             allocator_name=self.name,
             kernel_backend=backend,
+            order=order,
         )
 
     def solve_columnar_batch(
@@ -198,12 +164,9 @@ class GreedyFlexibilityAllocator(Allocator):
     ) -> List[ColumnarAllocationResult]:
         """Fused greedy over a batch of days: one kernel call for all D.
 
-        Per-day work that is inherently day-local stays per-day and in
-        day order — flexibility scores (coverage is a day-local
-        reduction) and tie keys (each day's rng draws exactly the
-        sequence :meth:`solve_columnar` would) — then one global stable
-        ``np.lexsort`` with the day index as the most-significant key
-        reproduces every day's within-day processing order, and
+        Each day's processing order comes from :meth:`_order` on that
+        day's rng, in day order (the draws D :meth:`solve_columnar` calls
+        would make); the orders are stacked into one index vector and
         :func:`repro.kernels.placement.place_batch` runs all D
         ordered-placement sweeps in a single kernel invocation.  Results
         are bit-identical to D separate :meth:`solve_columnar` calls
@@ -220,44 +183,21 @@ class GreedyFlexibilityAllocator(Allocator):
         lengths = np.array([len(c) for c in compiled_days], dtype=np.intp)
         offsets = np.zeros(n_days + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        total = int(offsets[-1])
-        starts_out = np.zeros(total, dtype=np.intp)
-
-        flex_parts: List[np.ndarray] = []
-        key_parts: List[np.ndarray] = []
-        for compiled, rng in zip(compiled_days, rngs):
-            n = len(compiled)
-            if n == 0:
-                # Mirror solve_columnar's empty-day early return: no
-                # flexibility pass (it rejects empty coverage) and zero
-                # rng draws.
-                continue
-            rng = rng if rng is not None else random.Random(self._seed)
-            flex_parts.append(
-                flexibility_vector(
-                    compiled.win_start, compiled.win_end, compiled.duration
-                )
-            )
-            key_parts.append(np.array([rng.random() for _ in range(n)]))
-        if total:
-            flex = np.concatenate(flex_parts)
-            keys = np.concatenate(key_parts)
-            day_idx = np.repeat(np.arange(n_days, dtype=np.intp), lengths)
-            # Day most-significant, then the per-day (flexibility, tie-key)
-            # pair: lexsort is stable, so rows of day k land in exactly the
-            # order the per-day lexsort would produce.
-            order = np.lexsort((keys, flex if self.ascending else -flex, day_idx))
-            win_start = np.concatenate([c.win_start for c in compiled_days])
-            win_end = np.concatenate([c.win_end for c in compiled_days])
-            duration = np.concatenate([c.duration for c in compiled_days])
-            rating = np.concatenate([c.rating for c in compiled_days])
+        starts_out = np.zeros(int(offsets[-1]), dtype=np.intp)
+        orders = [
+            self._rows_in_order(compiled, rng)
+            for compiled, rng in zip(compiled_days, rngs)
+        ]
+        if starts_out.size:
             backend = place_batch(
                 offsets,
-                order,
-                win_start,
-                win_end,
-                duration,
-                rating,
+                np.concatenate(
+                    [order + offset for order, offset in zip(orders, offsets)]
+                ),
+                np.concatenate([c.win_start for c in compiled_days]),
+                np.concatenate([c.win_end for c in compiled_days]),
+                np.concatenate([c.duration for c in compiled_days]),
+                np.concatenate([c.rating for c in compiled_days]),
                 pricing,
                 starts_out,
             )
@@ -269,20 +209,17 @@ class GreedyFlexibilityAllocator(Allocator):
         results: List[ColumnarAllocationResult] = []
         for k, compiled in enumerate(compiled_days):
             day_starts = starts_out[offsets[k]:offsets[k + 1]].copy()
-            if len(compiled) == 0:
-                cost = pricing.cost(LoadProfile())
-            else:
-                profile = LoadProfile.from_arrays(
-                    day_starts, day_starts + compiled.duration, compiled.rating
-                )
-                cost = pricing.cost(profile)
+            profile = LoadProfile.from_arrays(
+                day_starts, day_starts + compiled.duration, compiled.rating
+            )
             results.append(
                 ColumnarAllocationResult(
                     starts=day_starts,
-                    cost=cost,
+                    cost=pricing.cost(profile),
                     wall_time_s=per_day_s,
                     allocator_name=self.name,
                     kernel_backend=backend,
+                    order=orders[k],
                 )
             )
         return results

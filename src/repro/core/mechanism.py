@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -20,8 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 import numpy as np
 
+from ..allocation.arrays import CompiledProblem
 from ..allocation.base import (
-    AllocationProblem,
     AllocationResult,
     Allocator,
     ColumnarAllocationResult,
@@ -41,6 +42,7 @@ from .types import (
     ConsumptionMap,
     HouseholdId,
     Neighborhood,
+    Preference,
     Report,
     validate_allocation,
     validate_consumption,
@@ -64,8 +66,10 @@ def closest_feasible_consumption(
     This automates the user study's consumption step ("selecting real
     consumption to be within the subject's true interval and close to his
     allocation").  If the allocation already fits the true window it is
-    followed exactly; otherwise the household defects to the in-window
-    placement that maximizes overlap with the allocation (earliest on ties).
+    followed exactly (the allocation object itself is returned, so a day's
+    allocation and consumption maps share those intervals); otherwise the
+    household defects to the in-window placement that maximizes overlap
+    with the allocation (earliest on ties).
 
     Closed form of that earliest maximizer: the overlap is largest from
     the allocation's start when the block fits inside the allocation,
@@ -76,6 +80,8 @@ def closest_feasible_consumption(
     """
     w0, w1 = true_window.start, true_window.end
     p, q = allocation.start, allocation.end
+    if q - p == duration and w0 <= p and q <= w1:
+        return allocation
     start = p if duration <= q - p else q - duration
     start = min(max(start, w0), w1 - duration)
     if start < w0 or min(start + duration, q) <= max(start, p):
@@ -99,6 +105,34 @@ def closest_feasible_starts(
     starts = np.clip(alloc_starts, true_start, true_end - duration)
     overlap = duration - np.abs(starts - alloc_starts)
     return np.where(overlap > 0, starts, true_start)
+
+
+def _preference_columns(
+    preferences: Sequence[Preference],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window starts, window ends and durations of ``preferences``."""
+    n = len(preferences)
+    flat = np.fromiter(
+        chain.from_iterable(
+            (p.window.start, p.window.end, p.duration) for p in preferences
+        ),
+        dtype=np.intp,
+        count=3 * n,
+    )
+    starts, ends, durations = flat.reshape(n, 3).T.copy()
+    return starts, ends, durations
+
+
+def _interval_columns(intervals: Sequence[Interval]) -> Tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of ``intervals``."""
+    n = len(intervals)
+    flat = np.fromiter(
+        chain.from_iterable((iv.start, iv.end) for iv in intervals),
+        dtype=np.intp,
+        count=2 * n,
+    )
+    starts, ends = flat.reshape(n, 2).T.copy()
+    return starts, ends
 
 
 def default_consumption(
@@ -298,19 +332,69 @@ class EnkiMechanism:
         repaired, or dropped per policy instead of raising out of the
         solve.  Callers that already screened (to capture the decisions)
         pass ``pre_screened=True`` to skip the redundant second pass.
+
+        The report map is lowered once into a
+        :class:`~repro.allocation.arrays.CompiledProblem` and solved by
+        the allocator's columnar entry point (native for the greedy, the
+        object bridge for the others); the begin slots are checked
+        against the reported windows as one array mask, and only a
+        failing mask runs :func:`~repro.core.types.validate_allocation`
+        to name the offender.
+
+        Raises:
+            InvalidReportError: For a report from a household outside the
+                neighborhood (the quarantine's ``unknown-household``).
         """
         rng = rng if rng is not None else random.Random(self._seed)
         if not pre_screened:
             screened = self.screen_reports(neighborhood, reports)
             if screened is not None:
                 reports = screened.accepted
-        problem = AllocationProblem.from_reports(reports, neighborhood.households, self.pricing)
+        compiled = self._compile_reports(neighborhood, reports)
         if self.alloc_cache is not None:
-            result = self.alloc_cache.solve(self.allocator, problem, rng)
+            result = self.alloc_cache.solve_columnar(
+                self.allocator, compiled, self.pricing, rng
+            )
         else:
-            result = self.allocator.solve(problem, rng)
-        validate_allocation(dict(reports), result.allocation)
-        return result
+            result = self.allocator.solve_columnar(compiled, self.pricing, rng)
+        allocation_result = result.to_result(compiled)
+        starts = result.starts
+        if bool(np.any(
+            (starts < compiled.win_start)
+            | (starts + compiled.duration > compiled.win_end)
+        )):
+            validate_allocation(dict(reports), allocation_result.allocation)
+        return allocation_result
+
+    def _compile_reports(
+        self,
+        neighborhood: Neighborhood,
+        reports: Mapping[HouseholdId, Report],
+    ) -> CompiledProblem:
+        """Lower a report map, in its order, into one compiled day."""
+        types = neighborhood.households
+        n = len(reports)
+        preferences = [report.preference for report in reports.values()]
+        try:
+            rating = np.fromiter(
+                (types[hid].rating_kw for hid in reports), dtype=float, count=n
+            )
+        except KeyError:
+            from ..robustness.errors import InvalidReportError
+
+            unknown = next(hid for hid in reports if hid not in types)
+            raise InvalidReportError(
+                unknown, "unknown-household", "no such household"
+            ) from None
+        win_start, win_end, duration = _preference_columns(preferences)
+        return CompiledProblem.from_arrays(
+            ids=tuple(reports),
+            win_start=win_start,
+            win_end=win_end,
+            duration=duration,
+            rating=rating,
+            pricing=self.pricing,
+        )
 
     def settle(
         self,
@@ -321,15 +405,18 @@ class EnkiMechanism:
     ) -> Settlement:
         """Bill a completed day (Eqs. 3-8).
 
-        The whole scoring chain (flexibility, defection, social cost,
-        payments, valuations, utilities, overlaps) runs batched over
-        parallel numpy arrays — one pass to unpack the intervals, then
-        pure array arithmetic — so settlement cost is dominated by O(n)
-        array construction rather than per-household Python loops.
-        """
-        validate_allocation(dict(reports), allocation)
-        validate_consumption(neighborhood.households, consumption)
+        Each map is lowered to parallel arrays in one pass, the
+        :func:`~repro.core.types.validate_allocation` and
+        :func:`~repro.core.types.validate_consumption` conditions are
+        checked as array masks (the scalar validators run only when a
+        mask fails, so the exception names the same first offender), and
+        the whole scoring chain runs in :meth:`settle_arrays`.
 
+        Raises:
+            IntervalError: When the allocation or consumption violates
+                Section III, or the consumption lacks an allocated
+                household.
+        """
         types = neighborhood.households
         # Settle the allocated households only: under the quarantine's
         # `exclude` policy a dropped household has no s_i and no omega_i,
@@ -337,33 +424,38 @@ class EnkiMechanism:
         # realized cost of exactly the households being billed.
         ids = [h for h in types if h in allocation]
         n = len(ids)
-        alloc_starts = np.fromiter((allocation[h].start for h in ids), np.intp, count=n)
-        alloc_ends = np.fromiter((allocation[h].end for h in ids), np.intp, count=n)
-        cons_starts = np.fromiter((consumption[h].start for h in ids), np.intp, count=n)
-        cons_ends = np.fromiter((consumption[h].end for h in ids), np.intp, count=n)
-        ratings = np.fromiter((types[h].rating_kw for h in ids), float, count=n)
-        rep_starts = np.fromiter(
-            (reports[h].preference.window.start for h in ids), np.intp, count=n
+        households = [types[h] for h in ids]
+        true_starts, true_ends, true_durations = _preference_columns(
+            [hh.true_preference for hh in households]
         )
-        rep_ends = np.fromiter(
-            (reports[h].preference.window.end for h in ids), np.intp, count=n
-        )
-        rep_durations = np.fromiter(
-            (reports[h].preference.duration for h in ids), np.intp, count=n
-        )
-
-        true_starts = np.fromiter(
-            (types[h].true_preference.window.start for h in ids), np.intp, count=n
-        )
-        true_ends = np.fromiter(
-            (types[h].true_preference.window.end for h in ids), np.intp, count=n
-        )
-        true_durations = np.fromiter(
-            (types[h].true_preference.duration for h in ids), np.intp, count=n
-        )
-        factors = np.fromiter(
-            (types[h].valuation_factor for h in ids), float, count=n
-        )
+        alloc_starts, alloc_ends = _interval_columns([allocation[h] for h in ids])
+        try:
+            rep_starts, rep_ends, rep_durations = _preference_columns(
+                [reports[h].preference for h in ids]
+            )
+            cons_starts, cons_ends = _interval_columns([consumption[h] for h in ids])
+            valid = (
+                len(reports) == len(allocation) == len(consumption) == n
+                and bool(np.all(
+                    (alloc_ends - alloc_starts == rep_durations)
+                    & (rep_starts <= alloc_starts)
+                    & (alloc_ends <= rep_ends)
+                    & (cons_ends - cons_starts == true_durations)
+                    & (true_starts <= cons_starts)
+                    & (cons_ends <= true_ends)
+                ))
+            )
+        except KeyError:
+            valid = False
+        if not valid:
+            # The scalar validators raise on every malformed day but one:
+            # consumption lacking an allocated household.  Past them, the
+            # lowering above succeeded.
+            validate_allocation(dict(reports), allocation)
+            validate_consumption(types, consumption)
+            missing = [h for h in ids if h not in consumption]
+            if missing:
+                raise IntervalError(f"consumption missing households: {missing}")
 
         return self.settle_arrays(
             ids=tuple(ids),
@@ -371,14 +463,16 @@ class EnkiMechanism:
             alloc_ends=alloc_ends,
             cons_starts=cons_starts,
             cons_ends=cons_ends,
-            ratings=ratings,
+            ratings=np.fromiter((hh.rating_kw for hh in households), float, count=n),
             rep_starts=rep_starts,
             rep_ends=rep_ends,
             rep_durations=rep_durations,
             true_starts=true_starts,
             true_ends=true_ends,
             true_durations=true_durations,
-            factors=factors,
+            factors=np.fromiter(
+                (hh.valuation_factor for hh in households), float, count=n
+            ),
         ).to_settlement()
 
     def settle_arrays(

@@ -384,38 +384,30 @@ class TestDigestStability:
 # ----------------------------------------------------- compile cache stats
 
 class TestCompileCacheStats:
-    def test_repeated_day_drivers_hit_the_content_cache(self):
-        """The fig7-style rebuild-every-repeat shape compiles once."""
+    def test_exact_solver_warm_start_hits_the_problem_cache(self):
+        """One lowering per problem object, shared by every solver on it."""
         reset_compile_cache()
-        neighborhood = _wide_neighborhood(15, seed=6).to_objects()
+        neighborhood = _wide_neighborhood(8, seed=6).to_objects()
         from repro.core.mechanism import truthful_reports
 
-        pricing = QuadraticPricing()
-        for _ in range(8):
-            problem = AllocationProblem.from_reports(
-                truthful_reports(neighborhood), neighborhood.households, pricing
-            )
-            compile_problem(problem)
+        problem = AllocationProblem.from_reports(
+            truthful_reports(neighborhood), neighborhood.households, QuadraticPricing()
+        )
+        compiled = compile_problem(problem)
+        assert compile_problem(problem) is compiled
+        # The exact solver's warm start (greedy, then hill climbing) reads
+        # the same view instead of lowering the items again.
+        BranchAndBoundAllocator(time_limit_s=None, node_limit=50).solve(
+            problem, random.Random(0)
+        )
         stats = compile_cache_stats()
         assert stats["misses"] == 1
-        assert stats["hits"] == 7
-        reset_compile_cache()
-
-    def test_reset_stats_only_keeps_entries(self):
-        reset_compile_cache()
-        neighborhood = _wide_neighborhood(10, seed=4).to_objects()
-        from repro.core.mechanism import truthful_reports
-
-        pricing = QuadraticPricing()
-        problem = AllocationProblem.from_reports(
-            truthful_reports(neighborhood), neighborhood.households, pricing
-        )
-        compile_problem(problem)
-        reset_compile_cache(stats_only=True)
+        assert stats["hits"] >= 3
+        # A rebuilt problem is a new object: it lowers once more.
         rebuilt = AllocationProblem.from_reports(
-            truthful_reports(neighborhood), neighborhood.households, pricing
+            truthful_reports(neighborhood), neighborhood.households, QuadraticPricing()
         )
         compile_problem(rebuilt)
-        stats = compile_cache_stats()
-        assert stats == {"hits": 1, "misses": 0}
+        assert compile_cache_stats()["misses"] == 2
         reset_compile_cache()
+        assert compile_cache_stats() == {"hits": 0, "misses": 0}

@@ -148,6 +148,75 @@ class TestGreedyColumnarMatchesObject:
         assert result.cost == 0.0
 
 
+class TestOrderHook:
+    """Every greedy path orders rows through the one ``_order`` hook."""
+
+    @given(
+        allocation_problems(max_households=80, ratings=_NON_BINARY_RATINGS),
+        st.integers(min_value=0, max_value=2**16),
+        st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_base_hook_is_the_sorted_key_order(self, problem, seed, ascending):
+        """Same order and same draws as a ``sorted`` (score, tie key) key."""
+        from repro.core.flexibility import flexibility_vector
+
+        compiled = compile_problem(problem)
+        hook_rng, key_rng = random.Random(seed), random.Random(seed)
+        order = GreedyFlexibilityAllocator(ascending=ascending)._order(
+            compiled, hook_rng
+        )
+        scores = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        ).tolist()
+        if not ascending:
+            scores = [-score for score in scores]
+        expected = sorted(
+            range(len(scores)), key=lambda i: (scores[i], key_rng.random())
+        )
+        assert order.tolist() == expected
+        assert hook_rng.getstate() == key_rng.getstate()
+
+    @given(
+        st.sampled_from((_EXACT_RATINGS, _NON_BINARY_RATINGS)).flatmap(
+            lambda ratings: allocation_problems(max_households=60, ratings=ratings)
+        ),
+        st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_arrival_order_columnar_matches_object(self, problem, seed):
+        from repro.experiments.ablation_ordering import ArrivalOrderGreedy
+
+        allocator = ArrivalOrderGreedy()
+        obj = allocator.solve(problem, random.Random(seed))
+        compiled = compile_problem(problem)
+        col = allocator.solve_columnar(compiled, problem.pricing, random.Random(seed))
+        (batch,) = allocator.solve_columnar_batch(
+            [compiled], problem.pricing, [random.Random(seed)]
+        )
+        for row, hid in enumerate(compiled.ids):
+            assert int(col.starts[row]) == obj.allocation[hid].start
+            assert int(batch.starts[row]) == obj.allocation[hid].start
+        assert col.cost == obj.cost == batch.cost
+        assert list(col.to_result(compiled).allocation) == list(obj.allocation)
+
+    def test_ordering_variants_have_distinct_cache_tokens(self):
+        from repro.experiments.ablation_ordering import (
+            ArrivalOrderGreedy,
+            DescendingFlexibilityGreedy,
+        )
+
+        tokens = {
+            GreedyFlexibilityAllocator().cache_token(),
+            ArrivalOrderGreedy().cache_token(),
+            DescendingFlexibilityGreedy().cache_token(),
+        }
+        assert len(tokens) == 3
+        assert GreedyFlexibilityAllocator().cache_token() == (
+            "enki-greedy:asc=True:seed=None"
+        )
+
+
 # ------------------------------------------------------- full-day settlement
 
 class TestDayColumnarMatchesObject:

@@ -197,3 +197,90 @@ class TestMechanismValidation:
                 {"A": Interval(0, 2)},
                 {"A": Interval(0, 2)},
             )
+
+    def test_report_from_unknown_household_is_an_invalid_report(
+        self, mechanism, example3_neighborhood
+    ):
+        """No quarantine: the same error the reject policy raises."""
+        from repro.robustness.errors import InvalidReportError
+
+        reports = truthful_reports(example3_neighborhood)
+        reports["ghost"] = Report("ghost", Preference.of(2, 6, 2))
+        with pytest.raises(InvalidReportError) as raised:
+            mechanism.allocate(example3_neighborhood, reports)
+        assert raised.value.household_id == "ghost"
+        assert raised.value.reason == "unknown-household"
+        assert raised.value.exit_code == 11
+        with pytest.raises(InvalidReportError):
+            mechanism.run_day(example3_neighborhood, reports)
+
+    def test_consumption_missing_an_allocated_household_names_it(
+        self, mechanism, example3_neighborhood
+    ):
+        from repro.core.intervals import IntervalError
+
+        reports = truthful_reports(example3_neighborhood)
+        allocation = mechanism.allocate(example3_neighborhood, reports).allocation
+        missing = sorted(allocation)[-1]
+        consumption = {h: iv for h, iv in allocation.items() if h != missing}
+        with pytest.raises(IntervalError, match=repr(missing)):
+            mechanism.settle(example3_neighborhood, reports, allocation, consumption)
+
+
+class TestSettleValidationParity:
+    """The array masks defer to the scalar validators' exact error."""
+
+    def _day(self, mechanism, neighborhood):
+        reports = truthful_reports(neighborhood)
+        allocation = mechanism.allocate(neighborhood, reports).allocation
+        return reports, allocation, default_consumption(neighborhood, allocation)
+
+    def _messages(self, mechanism, neighborhood, reports, allocation, consumption):
+        """The settle error next to the scalar validators' own error."""
+        from repro.core.intervals import IntervalError
+        from repro.core.types import validate_allocation, validate_consumption
+
+        with pytest.raises(IntervalError) as settled:
+            mechanism.settle(neighborhood, reports, allocation, consumption)
+        with pytest.raises(IntervalError) as scalar:
+            validate_allocation(dict(reports), allocation)
+            validate_consumption(neighborhood.households, consumption)
+        return str(settled.value), str(scalar.value)
+
+    def test_allocation_outside_report_window(self, mechanism, small_random_neighborhood):
+        reports, allocation, consumption = self._day(mechanism, small_random_neighborhood)
+        for hid in list(allocation)[1:3]:
+            window = reports[hid].preference.window
+            v = reports[hid].preference.duration
+            start = window.end - v + 1 if window.end < 24 else window.start - 1
+            allocation[hid] = Interval(start, start + v)
+        got, want = self._messages(
+            mechanism, small_random_neighborhood, reports, allocation, consumption
+        )
+        assert got == want
+
+    def test_consumption_of_wrong_length(self, mechanism, small_random_neighborhood):
+        reports, allocation, consumption = self._day(mechanism, small_random_neighborhood)
+        hid = list(consumption)[2]
+        block = consumption[hid]
+        consumption[hid] = Interval(block.start, block.end - 1)
+        got, want = self._messages(
+            mechanism, small_random_neighborhood, reports, allocation, consumption
+        )
+        assert got == want
+
+    def test_extra_allocation_and_unknown_consumption(
+        self, mechanism, small_random_neighborhood
+    ):
+        reports, allocation, consumption = self._day(mechanism, small_random_neighborhood)
+        allocation["ghost"] = Interval(0, 1)
+        got, want = self._messages(
+            mechanism, small_random_neighborhood, reports, allocation, consumption
+        )
+        assert got == want
+        del allocation["ghost"]
+        consumption["ghost"] = Interval(0, 1)
+        got, want = self._messages(
+            mechanism, small_random_neighborhood, reports, allocation, consumption
+        )
+        assert got == want
