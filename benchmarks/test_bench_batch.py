@@ -1,14 +1,8 @@
-"""Perf-smoke gates for the batched multi-day engine and allocation cache.
+"""Perf-smoke gate for the allocation cache.
 
-Two A/B benches, both asserting bit-identical results before timing
-anything (a fast wrong answer is not a speedup):
+An A/B bench that asserts bit-identical results before timing anything
+(a fast wrong answer is not a speedup):
 
-* ``study_batched_n1k_d64`` — a 64-day greedy study run as one fused
-  columnar batch, against the same study as 64 per-day round trips.  Its
-  >= 3x gate was written for a compiled placement kernel; both paths
-  now share the one scalar sweep, so the batch fusion alone is worth a
-  few percent and the gate cannot bind.  The bench records both timings
-  and notes the gate as unverified.
 * ``alloc_cache_warm_fig5`` — the fig5 study (greedy + branch and bound)
   run cold then warm on one shared :class:`AllocationCache`.  The >= 5x
   gate binds only when the cold run proved every exact-solver day AND
@@ -24,8 +18,6 @@ import time
 
 import pytest
 
-from conftest import time_call
-
 
 def _record_key(records):
     """Everything in a record except wall time and cache provenance."""
@@ -34,48 +26,6 @@ def _record_key(records):
          r.proven_optimal, r.nodes_explored, r.served_tier)
         for r in records
     ]
-
-
-def test_bench_study_batched_n1k_d64(bench_json, gate_note):
-    from repro.allocation.greedy import GreedyFlexibilityAllocator
-    from repro.sim.engine import SocialWelfareStudy
-
-    study = SocialWelfareStudy(
-        allocators=[GreedyFlexibilityAllocator()], columnar=True
-    )
-    n, days, seed = 1000, 64, 2017
-
-    per_day = study.run(n, days=days, seed=seed, workers=1)
-    per_day_s = time_call(
-        lambda: study.run(n, days=days, seed=seed, workers=1),
-        repeats=3, warmup=0,
-    )
-    batched = study.run(n, days=days, seed=seed, workers=1, batch_days=days)
-    batched_s = time_call(
-        lambda: study.run(n, days=days, seed=seed, workers=1, batch_days=days),
-        repeats=3, warmup=0,
-    )
-
-    assert _record_key(per_day) == _record_key(batched), (
-        "batched engine must be bit-identical to the per-day path"
-    )
-
-    speedup = per_day_s / batched_s if batched_s > 0 else float("inf")
-    bench_json(
-        "study_batched_n1k_d64",
-        n_households=n,
-        days=days,
-        per_day_seconds=per_day_s,
-        batched_seconds=batched_s,
-        speedup_vs_per_day=speedup,
-    )
-    message = (
-        "batched and per-day paths share the scalar placement sweep "
-        f"(recorded {speedup:.2f}x for the trajectory); the >=3x gate "
-        "cannot bind without a compiled kernel"
-    )
-    gate_note("study_batched_n1k_d64", False, message)
-    pytest.skip(message)
 
 
 #: Cache A/B workload: sized (fixed seed, so the instances are
@@ -107,7 +57,6 @@ def test_bench_alloc_cache_warm_fig5(bench_json, gate_note):
             seed=_CACHE_SEED,
             optimal_time_limit_s=_CACHE_TIME_LIMIT_S,
             columnar=True,
-            batch_days=_CACHE_DAYS,
             alloc_cache=cache,
         )
 

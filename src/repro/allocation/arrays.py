@@ -50,7 +50,7 @@ class CompiledProblem:
     placement sweep reads only the four per-item columns, so the per-item
     index vectors (2n small arrays) and the id-to-row dict are built on
     first access and cached — a greedy-only day never pays for them,
-    which matters when the batched engine compiles hundreds of days.
+    which matters when a study compiles hundreds of days.
 
     ``items`` is populated by :meth:`from_items` (the object path); the
     columnar path (:meth:`from_arrays`) leaves it empty and carries only

@@ -11,15 +11,12 @@ Every solve path fixes the processing order with the one ``_order`` hook
 (one ``flexibility_vector`` call and one ``np.lexsort`` with a random tie
 key per household, drawn in row order; subclasses such as the ordering
 ablation's arrival-order greedy override it) and hands the placement to
-the one scalar sweep, :func:`repro.kernels.placement.place_day` (or
-:func:`~repro.kernels.placement.place_batch` for a batch of days):
+the one scalar sweep, :func:`repro.kernels.placement.place_day`:
 
 * :meth:`GreedyFlexibilityAllocator.solve` — the object path: the
   problem's compiled view, solved as below and materialized.
 * :meth:`GreedyFlexibilityAllocator.solve_columnar` — the array path,
   no per-household objects.
-* :meth:`GreedyFlexibilityAllocator.solve_columnar_batch` — D days fused
-  into one ``place_batch`` call.
 
 Each result records its processing order, so the materialized allocation
 map lists households in the order they were placed, on every path.
@@ -29,14 +26,13 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.flexibility import flexibility_vector
 from ..core.types import HouseholdId
-from ..kernels import active_backend
-from ..kernels.placement import place_batch, place_day
+from ..kernels.placement import place_day
 from ..pricing.base import PricingModel
 from ..pricing.load_profile import LoadProfile
 from .arrays import CompiledProblem, compile_problem
@@ -155,71 +151,3 @@ class GreedyFlexibilityAllocator(Allocator):
             kernel_backend=backend,
             order=order,
         )
-
-    def solve_columnar_batch(
-        self,
-        compiled_days: Sequence[CompiledProblem],
-        pricing: PricingModel,
-        rngs: Sequence[Optional[random.Random]],
-    ) -> List[ColumnarAllocationResult]:
-        """Fused greedy over a batch of days: one kernel call for all D.
-
-        Each day's processing order comes from :meth:`_order` on that
-        day's rng, in day order (the draws D :meth:`solve_columnar` calls
-        would make); the orders are stacked into one index vector and
-        :func:`repro.kernels.placement.place_batch` runs all D
-        ordered-placement sweeps in a single kernel invocation.  Results
-        are bit-identical to D separate :meth:`solve_columnar` calls
-        (pinned by ``tests/test_batch_equivalence.py``); each day's
-        ``wall_time_s`` is the batch total apportioned evenly, which is
-        why equivalence checks exclude that field.
-        """
-        started_at = time.perf_counter()
-        n_days = len(compiled_days)
-        if len(rngs) != n_days:
-            raise ValueError(
-                f"got {len(rngs)} rngs for {n_days} days; need one per day"
-            )
-        lengths = np.array([len(c) for c in compiled_days], dtype=np.intp)
-        offsets = np.zeros(n_days + 1, dtype=np.intp)
-        np.cumsum(lengths, out=offsets[1:])
-        starts_out = np.zeros(int(offsets[-1]), dtype=np.intp)
-        orders = [
-            self._rows_in_order(compiled, rng)
-            for compiled, rng in zip(compiled_days, rngs)
-        ]
-        if starts_out.size:
-            backend = place_batch(
-                offsets,
-                np.concatenate(
-                    [order + offset for order, offset in zip(orders, offsets)]
-                ),
-                np.concatenate([c.win_start for c in compiled_days]),
-                np.concatenate([c.win_end for c in compiled_days]),
-                np.concatenate([c.duration for c in compiled_days]),
-                np.concatenate([c.rating for c in compiled_days]),
-                pricing,
-                starts_out,
-            )
-        else:
-            backend = active_backend()
-
-        elapsed = time.perf_counter() - started_at
-        per_day_s = elapsed / n_days if n_days else elapsed
-        results: List[ColumnarAllocationResult] = []
-        for k, compiled in enumerate(compiled_days):
-            day_starts = starts_out[offsets[k]:offsets[k + 1]].copy()
-            profile = LoadProfile.from_arrays(
-                day_starts, day_starts + compiled.duration, compiled.rating
-            )
-            results.append(
-                ColumnarAllocationResult(
-                    starts=day_starts,
-                    cost=pricing.cost(profile),
-                    wall_time_s=per_day_s,
-                    allocator_name=self.name,
-                    kernel_backend=backend,
-                    order=orders[k],
-                )
-            )
-        return results

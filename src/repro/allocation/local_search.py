@@ -88,9 +88,13 @@ def improve_allocation(
 
 
 def _block_delta(pricing, loads: np.ndarray, start: int, item) -> float:
-    """Marginal cost of placing ``item`` starting at ``start``."""
+    """Marginal cost of placing ``item`` starting at ``start``.
+
+    Lifting a block off ``loads`` can leave a hair below zero under
+    non-binary ratings; the residual is read as the zero it stands for.
+    """
     return sum(
-        pricing.marginal_cost(float(loads[h]), item.rating_kw)
+        pricing.marginal_cost(max(float(loads[h]), 0.0), item.rating_kw)
         for h in range(start, start + item.duration)
     )
 

@@ -156,17 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--batch-days",
-        type=int,
-        default=None,
-        help=(
-            "columnar-only: fuse up to this many consecutive days per "
-            "worker task into batched array passes "
-            "(fig4/fig5/fig6/simulate); results are bit-identical to the "
-            "per-day path"
-        ),
-    )
-    parser.add_argument(
         "--alloc-cache",
         nargs="?",
         const="",
@@ -245,8 +234,6 @@ def _overrides_for(experiment_id: str, args: argparse.Namespace) -> dict:
             overrides["columnar"] = True
         if args.bnb_workers is not None:
             overrides["bnb_workers"] = args.bnb_workers
-        if args.batch_days is not None and args.columnar:
-            overrides["batch_days"] = args.batch_days
         cache = _alloc_cache_for(args)
         if cache is not None and args.columnar:
             overrides["alloc_cache"] = cache
@@ -307,7 +294,6 @@ def _simulate(args: argparse.Namespace) -> int:
         seed=seed,
         workers=args.workers if args.workers is not None else 1,
         checkpoint=checkpoint,
-        batch_days=args.batch_days if args.batch_days is not None else 1,
     )
 
     audit = AuditLog(args.audit) if args.audit else None
@@ -472,12 +458,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     """Route a parsed command line to its experiment or subcommand."""
     if args.resume and not args.checkpoint:
         print("--resume requires --checkpoint", file=sys.stderr)
-        return 2
-    if args.batch_days is not None and args.batch_days < 1:
-        print("--batch-days must be >= 1", file=sys.stderr)
-        return 2
-    if args.batch_days is not None and args.batch_days > 1 and not args.columnar:
-        print("--batch-days requires --columnar", file=sys.stderr)
         return 2
     if (
         args.alloc_cache is not None

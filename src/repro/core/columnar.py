@@ -18,7 +18,7 @@ path is bit-identical on identical inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -315,71 +315,4 @@ class ColumnarReports:
             start=self.start[idx],
             end=self.end[idx],
             duration=self.duration[idx],
-        )
-
-
-@dataclass(frozen=True)
-class ColumnarDayBatch:
-    """D days' neighborhoods stacked day-major into one ragged SoA.
-
-    The batched engine's transport form: ``offsets`` is a ``D + 1``
-    boundary vector and rows ``offsets[k]:offsets[k + 1]`` of every
-    stacked column belong to day ``k`` (in that day's row order), so a
-    whole study chunk flows through the fused kernels as a handful of
-    array passes.  ``ids`` stays per-day (fixed-n batches share one
-    tuple, so stacking it would only burn memory).
-
-    Built from already-validated :class:`ColumnarNeighborhood` days;
-    :meth:`neighborhood` reconstructs day ``k`` as a zero-copy
-    ``from_trusted`` view over the stacked columns.
-    """
-
-    ids: Tuple[Tuple[HouseholdId, ...], ...]
-    offsets: np.ndarray
-    true_start: np.ndarray
-    true_end: np.ndarray
-    duration: np.ndarray
-    rating: np.ndarray
-    valuation: np.ndarray
-
-    @classmethod
-    def from_neighborhoods(
-        cls, days: Sequence[ColumnarNeighborhood]
-    ) -> "ColumnarDayBatch":
-        """Stack validated per-day neighborhoods (day order kept)."""
-        offsets = np.zeros(len(days) + 1, dtype=np.intp)
-        np.cumsum([len(day) for day in days], out=offsets[1:])
-        return cls(
-            ids=tuple(day.ids for day in days),
-            offsets=offsets,
-            true_start=np.concatenate([day.true_start for day in days]),
-            true_end=np.concatenate([day.true_end for day in days]),
-            duration=np.concatenate([day.duration for day in days]),
-            rating=np.concatenate([day.rating for day in days]),
-            valuation=np.concatenate([day.valuation for day in days]),
-        )
-
-    @property
-    def n_days(self) -> int:
-        return len(self.ids)
-
-    @property
-    def total(self) -> int:
-        """Total stacked rows, Σ nᵢ over the D days."""
-        return int(self.offsets[-1])
-
-    def day_slice(self, k: int) -> slice:
-        """The stacked-row slice of day ``k``."""
-        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
-
-    def neighborhood(self, k: int) -> ColumnarNeighborhood:
-        """Day ``k`` as a zero-copy :class:`ColumnarNeighborhood` view."""
-        rows = self.day_slice(k)
-        return ColumnarNeighborhood.from_trusted(
-            ids=self.ids[k],
-            true_start=self.true_start[rows],
-            true_end=self.true_end[rows],
-            duration=self.duration[rows],
-            rating=self.rating[rows],
-            valuation=self.valuation[rows],
         )

@@ -134,6 +134,9 @@ def defection_vector(
     deviated_loads = base_profile.as_array()[None, :] + np.cumsum(
         deltas[:, :HOURS_PER_DAY], axis=1
     )
+    # Moving a block off an hour can leave a hair below zero under
+    # non-binary ratings; a load is never negative.
+    np.maximum(deviated_loads, 0.0, out=deviated_loads)
     deviated_costs = pricing.cost_batch(deviated_loads)
 
     overlaps = np.clip(

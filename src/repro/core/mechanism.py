@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..allocation.cache import AllocationCache
-    from ..robustness.quarantine import Quarantine
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from ..allocation.greedy import GreedyFlexibilityAllocator
 from ..pricing.base import PricingModel
 from ..pricing.load_profile import LoadProfile
 from ..pricing.quadratic import QuadraticPricing
+from ..robustness.errors import InvalidReportError
+from ..robustness.quarantine import Quarantine
 from .columnar import ColumnarNeighborhood, ColumnarReports
 from .defection import defection_vector
 from .flexibility import flexibility_vector
@@ -133,6 +134,44 @@ def _interval_columns(intervals: Sequence[Interval]) -> Tuple[np.ndarray, np.nda
     )
     starts, ends = flat.reshape(n, 2).T.copy()
     return starts, ends
+
+
+def compile_reports(
+    neighborhood: Neighborhood,
+    reports: Mapping[HouseholdId, Report],
+    pricing: PricingModel,
+) -> CompiledProblem:
+    """Lower a report map, in its order, into one compiled day.
+
+    Shared by :meth:`EnkiMechanism.allocate` and the object study day
+    (:mod:`repro.sim.engine`): the reports supply windows and durations,
+    the neighborhood the ratings.
+
+    Raises:
+        InvalidReportError: For a report from a household outside the
+            neighborhood (the quarantine's ``unknown-household``).
+    """
+    types = neighborhood.households
+    n = len(reports)
+    preferences = [report.preference for report in reports.values()]
+    try:
+        rating = np.fromiter(
+            (types[hid].rating_kw for hid in reports), dtype=float, count=n
+        )
+    except KeyError:
+        unknown = next(hid for hid in reports if hid not in types)
+        raise InvalidReportError(
+            unknown, "unknown-household", "no such household"
+        ) from None
+    win_start, win_end, duration = _preference_columns(preferences)
+    return CompiledProblem.from_arrays(
+        ids=tuple(reports),
+        win_start=win_start,
+        win_end=win_end,
+        duration=duration,
+        rating=rating,
+        pricing=pricing,
+    )
 
 
 def default_consumption(
@@ -269,8 +308,9 @@ class EnkiMechanism:
         seed: Seed for allocation tie-breaking when no rng is provided.
         quarantine: Optional report screen applied in front of every
             allocation (:class:`repro.robustness.quarantine.Quarantine`).
-            Without one, reports are trusted as typed values — the
-            pre-robustness behaviour.
+            Without one, the object day trusts typed reports — the
+            pre-robustness behaviour — and the columnar day screens its
+            rows under ``reject``.
         alloc_cache: Optional
             :class:`repro.allocation.cache.AllocationCache` every solve
             routes through.  Hits replay byte-identical results with
@@ -286,7 +326,7 @@ class EnkiMechanism:
         k: float = DEFAULT_K,
         xi: float = DEFAULT_XI,
         seed: Optional[int] = None,
-        quarantine: Optional["Quarantine"] = None,
+        quarantine: Optional[Quarantine] = None,
         alloc_cache: Optional["AllocationCache"] = None,
     ) -> None:
         if k <= 0:
@@ -345,18 +385,12 @@ class EnkiMechanism:
             InvalidReportError: For a report from a household outside the
                 neighborhood (the quarantine's ``unknown-household``).
         """
-        rng = rng if rng is not None else random.Random(self._seed)
         if not pre_screened:
             screened = self.screen_reports(neighborhood, reports)
             if screened is not None:
                 reports = screened.accepted
-        compiled = self._compile_reports(neighborhood, reports)
-        if self.alloc_cache is not None:
-            result = self.alloc_cache.solve_columnar(
-                self.allocator, compiled, self.pricing, rng
-            )
-        else:
-            result = self.allocator.solve_columnar(compiled, self.pricing, rng)
+        compiled = compile_reports(neighborhood, reports, self.pricing)
+        result = self._solve(compiled, rng)
         allocation_result = result.to_result(compiled)
         starts = result.starts
         if bool(np.any(
@@ -366,35 +400,16 @@ class EnkiMechanism:
             validate_allocation(dict(reports), allocation_result.allocation)
         return allocation_result
 
-    def _compile_reports(
-        self,
-        neighborhood: Neighborhood,
-        reports: Mapping[HouseholdId, Report],
-    ) -> CompiledProblem:
-        """Lower a report map, in its order, into one compiled day."""
-        types = neighborhood.households
-        n = len(reports)
-        preferences = [report.preference for report in reports.values()]
-        try:
-            rating = np.fromiter(
-                (types[hid].rating_kw for hid in reports), dtype=float, count=n
+    def _solve(
+        self, compiled: CompiledProblem, rng: Optional[random.Random]
+    ) -> ColumnarAllocationResult:
+        """Solve a compiled day, through the allocation cache when set."""
+        rng = rng if rng is not None else random.Random(self._seed)
+        if self.alloc_cache is not None:
+            return self.alloc_cache.solve_columnar(
+                self.allocator, compiled, self.pricing, rng
             )
-        except KeyError:
-            from ..robustness.errors import InvalidReportError
-
-            unknown = next(hid for hid in reports if hid not in types)
-            raise InvalidReportError(
-                unknown, "unknown-household", "no such household"
-            ) from None
-        win_start, win_end, duration = _preference_columns(preferences)
-        return CompiledProblem.from_arrays(
-            ids=tuple(reports),
-            win_start=win_start,
-            win_end=win_end,
-            duration=duration,
-            rating=rating,
-            pricing=self.pricing,
-        )
+        return self.allocator.solve_columnar(compiled, self.pricing, rng)
 
     def settle(
         self,
@@ -540,89 +555,6 @@ class EnkiMechanism:
             load_profile=profile,
         )
 
-    def settle_arrays_batch(
-        self,
-        ids: Sequence[Tuple[HouseholdId, ...]],
-        offsets: np.ndarray,
-        alloc_starts: np.ndarray,
-        alloc_ends: np.ndarray,
-        cons_starts: np.ndarray,
-        cons_ends: np.ndarray,
-        ratings: np.ndarray,
-        rep_starts: np.ndarray,
-        rep_ends: np.ndarray,
-        rep_durations: np.ndarray,
-        true_starts: np.ndarray,
-        true_ends: np.ndarray,
-        true_durations: np.ndarray,
-        factors: np.ndarray,
-    ) -> List[ColumnarSettlement]:
-        """Settle D stacked days: Eqs. 3-8 in a handful of array passes.
-
-        Inputs are day-major stacked rows with ``offsets`` boundaries
-        (``ids[k]`` names day ``k``'s rows).  The purely elementwise
-        pieces — the followed mask, ``tau``, valuations and overlap
-        fractions — run once over all rows; every *day-local* reduction
-        (the realized load profile and its cost, flexibility coverage,
-        the defection baseline, the Eq. 6/7 normalizations) loops over
-        per-day slices, preserving each day's float accumulation
-        sequence, so every returned :class:`ColumnarSettlement` is
-        bit-identical to a per-day :meth:`settle_arrays` call.
-        """
-        followed = (alloc_starts == cons_starts) & (alloc_ends == cons_ends)
-        tau = np.clip(
-            np.minimum(alloc_ends, true_ends) - np.maximum(alloc_starts, true_starts),
-            0,
-            None,
-        )
-        valuations_all = valuation_vector(tau, true_durations, factors)
-        overlaps_all = np.clip(
-            np.minimum(alloc_ends, cons_ends) - np.maximum(alloc_starts, cons_starts),
-            0,
-            None,
-        ) / (alloc_ends - alloc_starts)
-
-        settlements: List[ColumnarSettlement] = []
-        for k, day_ids in enumerate(ids):
-            rows = slice(int(offsets[k]), int(offsets[k + 1]))
-            profile = LoadProfile.from_arrays(
-                cons_starts[rows], cons_ends[rows], ratings[rows]
-            )
-            total_cost = self.pricing.cost(profile)
-            flexibility_arr = np.where(
-                followed[rows],
-                flexibility_vector(
-                    rep_starts[rows], rep_ends[rows], rep_durations[rows]
-                ),
-                0.0,
-            )
-            defection_arr = defection_vector(
-                alloc_starts[rows],
-                alloc_ends[rows],
-                cons_starts[rows],
-                cons_ends[rows],
-                ratings[rows],
-                self.pricing,
-            )
-            social_arr = social_cost_vector(flexibility_arr, defection_arr, self.k)
-            payments_arr = payments_vector(social_arr, total_cost, self.xi)
-            settlements.append(
-                ColumnarSettlement(
-                    ids=tuple(day_ids),
-                    total_cost=total_cost,
-                    flexibility=flexibility_arr,
-                    defection=defection_arr,
-                    social_cost=social_arr,
-                    payments=payments_arr,
-                    valuations=valuations_all[rows],
-                    utilities=valuations_all[rows] - payments_arr,
-                    overlap_fractions=overlaps_all[rows],
-                    neighborhood_utility=float(payments_arr.sum()) - total_cost,
-                    load_profile=profile,
-                )
-            )
-        return settlements
-
     def run_day(
         self,
         neighborhood: Neighborhood,
@@ -660,40 +592,6 @@ class EnkiMechanism:
             quarantine_decisions=decisions,
         )
 
-    def allocate_columnar(
-        self,
-        neighborhood: ColumnarNeighborhood,
-        reports: ColumnarReports,
-        rng: Optional[random.Random] = None,
-    ) -> ColumnarAllocationResult:
-        """Solve a columnar day's allocation problem.
-
-        Reports are lowered straight into a
-        :class:`~repro.allocation.arrays.CompiledProblem` and handed to
-        the allocator's columnar kernel (the greedy one is native; others
-        bridge through the object path).  The returned begin slots are
-        validated against the reported windows — the array counterpart of
-        :func:`~repro.core.types.validate_allocation`.
-        """
-        rng = rng if rng is not None else random.Random(self._seed)
-        compiled = reports.compile(neighborhood, self.pricing)
-        if self.alloc_cache is not None:
-            result = self.alloc_cache.solve_columnar(
-                self.allocator, compiled, self.pricing, rng
-            )
-        else:
-            result = self.allocator.solve_columnar(compiled, self.pricing, rng)
-        starts = result.starts
-        bad = (starts < reports.start) | (starts + reports.duration > reports.end)
-        if bool(np.any(bad)):
-            i = int(np.argmax(bad))
-            raise IntervalError(
-                f"allocation [{int(starts[i])}, "
-                f"{int(starts[i] + reports.duration[i])}) for "
-                f"{reports.ids[i]!r} violates report window "
-                f"[{int(reports.start[i])}, {int(reports.end[i])})"
-            )
-        return result
 
     def run_day_columnar(
         self,
@@ -704,152 +602,20 @@ class EnkiMechanism:
         """Run one full day on the columnar path: allocate, consume, settle.
 
         The array counterpart of :meth:`run_day` with closest-feasible
-        consumption: truthful reports when ``reports`` is omitted, the
-        configured quarantine applied first (typed rows are re-validated,
-        so the screen is an accept-all no-op on clean days), and the whole
-        Eq. 3-8 settlement batched.  No per-household objects exist at any
-        point.
+        consumption: truthful reports when ``reports`` is omitted, screened
+        like wire rows (see :meth:`run_day_columnar_raw`; typed rows pass a
+        clean screen unchanged), and the whole Eq. 3-8 settlement batched.
+        No per-household objects exist at any point.
         """
         if reports is None:
-            reports = ColumnarReports.truthful(neighborhood)
-        if reports.ids != neighborhood.ids:
-            raise ValueError("reports and neighborhood rows are not aligned")
-        decisions: Tuple = ()
-        kept = np.ones(len(neighborhood), dtype=bool)
-        if self.quarantine is not None:
-            screened = self.quarantine.screen_columnar(
-                neighborhood,
-                reports.start.astype(float),
-                reports.end.astype(float),
-                reports.duration.astype(float),
-            )
-            reports = screened.accepted
-            kept = screened.kept
-            decisions = tuple(screened.decisions)
-            neighborhood = neighborhood.take(kept)
-        result = self.allocate_columnar(neighborhood, reports, rng)
-        return self.finish_day_columnar(
-            neighborhood, reports, result, kept=kept, decisions=decisions
-        )
-
-    def run_days_columnar(
-        self,
-        neighborhood: ColumnarNeighborhood,
-        rngs: Sequence[Optional[random.Random]],
-        reports: Optional[ColumnarReports] = None,
-    ) -> List[ColumnarDayOutcome]:
-        """Run D days over one fixed neighborhood as a fused batch.
-
-        The batched twin of D :meth:`run_day_columnar` calls where only
-        the tie-break rng differs per day (the
-        :class:`repro.sim.engine.NeighborhoodSimulation` shape): the
-        screen and the problem compilation happen once, the greedy
-        placement sweep runs as one
-        :meth:`~repro.allocation.greedy.GreedyFlexibilityAllocator.
-        solve_columnar_batch` kernel call over all D days (per-day solves
-        through the configured ``alloc_cache``, or for allocators without
-        a batch kernel, replace the fused path), and settlement is one
-        :meth:`settle_arrays_batch`.  Outcomes are bit-identical to the
-        per-day loop, day by day.
-        """
-        if reports is None:
-            reports = ColumnarReports.truthful(neighborhood)
-        if reports.ids != neighborhood.ids:
-            raise ValueError("reports and neighborhood rows are not aligned")
-        decisions: Tuple = ()
-        kept = np.ones(len(neighborhood), dtype=bool)
-        if self.quarantine is not None:
-            # One screen serves all D days: every day sees the same rows,
-            # so the per-day loop would reproduce these exact decisions
-            # each day.
-            screened = self.quarantine.screen_columnar(
-                neighborhood,
-                reports.start.astype(float),
-                reports.end.astype(float),
-                reports.duration.astype(float),
-            )
-            reports = screened.accepted
-            kept = screened.kept
-            decisions = tuple(screened.decisions)
-            neighborhood = neighborhood.take(kept)
-        n_days = len(rngs)
-        compiled = reports.compile(neighborhood, self.pricing)
-        rngs = [
-            rng if rng is not None else random.Random(self._seed) for rng in rngs
-        ]
-        if self.alloc_cache is not None:
-            results = [
-                self.alloc_cache.solve_columnar(
-                    self.allocator, compiled, self.pricing, rng
-                )
-                for rng in rngs
-            ]
-        elif hasattr(self.allocator, "solve_columnar_batch"):
-            results = self.allocator.solve_columnar_batch(
-                [compiled] * n_days, self.pricing, rngs
-            )
+            begin, end, duration = neighborhood.truthful_wire()
         else:
-            results = [
-                self.allocator.solve_columnar(compiled, self.pricing, rng)
-                for rng in rngs
-            ]
-
-        # Fused back half: validation, closest-feasible consumption and
-        # the elementwise settlement passes run once over the stacked
-        # D x n rows; day-local reductions stay per-day inside
-        # settle_arrays_batch.  Same formulas as finish_day_columnar, row
-        # for row.
-        n = len(neighborhood)
-        offsets = np.arange(n_days + 1, dtype=np.intp) * n
-        alloc_starts = (
-            np.concatenate([result.starts for result in results])
-            if results
-            else np.zeros(0, dtype=np.intp)
-        )
-        rep_start = np.tile(reports.start, n_days)
-        rep_end = np.tile(reports.end, n_days)
-        v = np.tile(neighborhood.duration, n_days)
-        bad = (alloc_starts < rep_start) | (alloc_starts + v > rep_end)
-        if bool(np.any(bad)):
-            i = int(np.argmax(bad))
-            raise IntervalError(
-                f"allocation [{int(alloc_starts[i])}, "
-                f"{int(alloc_starts[i] + v[i])}) for "
-                f"{reports.ids[i % n]!r} violates report window "
-                f"[{int(rep_start[i])}, {int(rep_end[i])})"
-            )
-        true_start = np.tile(neighborhood.true_start, n_days)
-        true_end = np.tile(neighborhood.true_end, n_days)
-        cons_starts = closest_feasible_starts(alloc_starts, true_start, true_end, v)
-
-        settlements = self.settle_arrays_batch(
-            ids=[neighborhood.ids] * n_days,
-            offsets=offsets,
-            alloc_starts=alloc_starts,
-            alloc_ends=alloc_starts + v,
-            cons_starts=cons_starts,
-            cons_ends=cons_starts + v,
-            ratings=np.tile(neighborhood.rating, n_days),
-            rep_starts=rep_start,
-            rep_ends=rep_end,
-            rep_durations=np.tile(reports.duration, n_days),
-            true_starts=true_start,
-            true_ends=true_end,
-            true_durations=v,
-            factors=np.tile(neighborhood.valuation, n_days),
-        )
-        return [
-            ColumnarDayOutcome(
-                neighborhood=neighborhood,
-                reports=reports,
-                allocation_result=result,
-                consumption_starts=cons_starts[offsets[k]:offsets[k + 1]],
-                settlement=settlement,
-                kept=kept,
-                quarantine_decisions=decisions,
-            )
-            for k, (result, settlement) in enumerate(zip(results, settlements))
-        ]
+            if reports.ids != neighborhood.ids:
+                raise ValueError("reports and neighborhood rows are not aligned")
+            begin = reports.start.astype(float)
+            end = reports.end.astype(float)
+            duration = reports.duration.astype(float)
+        return self._columnar_day(neighborhood, begin, end, duration, rng)
 
     def run_day_columnar_raw(
         self,
@@ -862,95 +628,53 @@ class EnkiMechanism:
         """Run a columnar day from *raw wire arrays* (possibly malformed).
 
         The service-layer ingestion entry point: ``begin``/``end`` (and
-        optionally ``duration``) are float arrays straight off the wire,
-        aligned with ``neighborhood``'s rows — NaN, inverted, off-grid or
-        non-integral values included.  With a quarantine configured they
-        are screened first (repaired or dropped per policy, decisions
-        recorded); without one the arrays must already be clean, and the
-        first malformed row raises
+        optionally ``duration``, defaulting to the metered durations) are
+        float arrays straight off the wire, aligned with
+        ``neighborhood``'s rows — NaN, inverted, off-grid or non-integral
+        values included.  With a quarantine configured they are screened
+        first (repaired or dropped per policy, decisions recorded);
+        without one the first malformed row raises
         :class:`~repro.robustness.errors.InvalidReportError` — the strict
-        counterpart of the ``reject`` policy.
+        counterpart of the ``reject`` policy, with the same reasons.
         """
-        begin = np.asarray(begin, dtype=float)
-        end = np.asarray(end, dtype=float)
-        if duration is None:
-            duration = neighborhood.duration.astype(float)
-        else:
-            duration = np.asarray(duration, dtype=float)
-        if self.quarantine is not None:
-            screened = self.quarantine.screen_columnar(
-                neighborhood, begin, end, duration
-            )
-            reports = screened.accepted
-            kept = screened.kept
-            decisions = tuple(screened.decisions)
-            neighborhood = neighborhood.take(kept)
-        else:
-            with np.errstate(invalid="ignore"):
-                integral = (
-                    np.isfinite(begin)
-                    & np.isfinite(end)
-                    & np.isfinite(duration)
-                    & (begin == np.trunc(begin))
-                    & (end == np.trunc(end))
-                    & (duration == np.trunc(duration))
-                )
-            if not bool(np.all(integral)):
-                i = int(np.argmin(integral))
-                from ..robustness.errors import InvalidReportError
+        return self._columnar_day(neighborhood, begin, end, duration, rng)
 
-                raise InvalidReportError(
-                    str(neighborhood.ids[i]),
-                    "non-integer-bound",
-                    f"bounds ({begin[i]!r}, {end[i]!r})",
-                )
-            reports = ColumnarReports(
-                ids=neighborhood.ids,
-                start=begin.astype(np.intp),
-                end=end.astype(np.intp),
-                duration=duration.astype(np.intp),
-            )
-            kept = np.ones(len(neighborhood), dtype=bool)
-            decisions = ()
-        result = self.allocate_columnar(neighborhood, reports, rng)
-        return self.finish_day_columnar(
-            neighborhood, reports, result, kept=kept, decisions=decisions
-        )
-
-    def finish_day_columnar(
+    def _columnar_day(
         self,
         neighborhood: ColumnarNeighborhood,
-        reports: ColumnarReports,
-        result: "ColumnarAllocationResult",
-        kept: Optional[np.ndarray] = None,
-        decisions: Tuple = (),
+        begin: np.ndarray,
+        end: np.ndarray,
+        duration: Optional[np.ndarray],
+        rng: Optional[random.Random],
     ) -> ColumnarDayOutcome:
-        """Settle an already-allocated columnar day.
+        """The one columnar day: screen, allocate, consume, settle.
 
-        The back half of :meth:`run_day_columnar` and
-        :meth:`run_day_columnar_raw`: the consumption and Eq. 3-8
-        settlement chain.  The begin slots are (re)validated against the
-        reported windows before anything is settled.
+        Without a configured quarantine the rows are screened under
+        ``reject``.  The screen leaves every report with its household's
+        metered duration, so the blocks allocated are the blocks billed.
         """
-        starts = result.starts
-        bad = (starts < reports.start) | (starts + reports.duration > reports.end)
-        if bool(np.any(bad)):
-            i = int(np.argmax(bad))
-            raise IntervalError(
-                f"allocation [{int(starts[i])}, "
-                f"{int(starts[i] + reports.duration[i])}) for "
-                f"{reports.ids[i]!r} violates report window "
-                f"[{int(reports.start[i])}, {int(reports.end[i])})"
-            )
-        if kept is None:
-            kept = np.ones(len(neighborhood), dtype=bool)
+        quarantine = self.quarantine
+        if quarantine is None:
+            quarantine = Quarantine("reject")
+        screened = quarantine.screen_columnar(neighborhood, begin, end, duration)
+        reports = screened.accepted
+        neighborhood = neighborhood.take(screened.kept)
+        result = self._solve(reports.compile(neighborhood, self.pricing), rng)
 
         v = neighborhood.duration
         alloc_starts = result.starts
+        bad = (alloc_starts < reports.start) | (alloc_starts + v > reports.end)
+        if bool(np.any(bad)):
+            i = int(np.argmax(bad))
+            raise IntervalError(
+                f"allocation [{int(alloc_starts[i])}, "
+                f"{int(alloc_starts[i] + v[i])}) for "
+                f"{reports.ids[i]!r} violates report window "
+                f"[{int(reports.start[i])}, {int(reports.end[i])})"
+            )
         cons_starts = closest_feasible_starts(
             alloc_starts, neighborhood.true_start, neighborhood.true_end, v
         )
-
         settlement = self.settle_arrays(
             ids=neighborhood.ids,
             alloc_starts=alloc_starts,
@@ -963,7 +687,7 @@ class EnkiMechanism:
             rep_durations=reports.duration,
             true_starts=neighborhood.true_start,
             true_ends=neighborhood.true_end,
-            true_durations=neighborhood.duration,
+            true_durations=v,
             factors=neighborhood.valuation,
         )
         return ColumnarDayOutcome(
@@ -972,6 +696,6 @@ class EnkiMechanism:
             allocation_result=result,
             consumption_starts=cons_starts,
             settlement=settlement,
-            kept=kept,
-            quarantine_decisions=decisions,
+            kept=screened.kept,
+            quarantine_decisions=tuple(screened.decisions),
         )

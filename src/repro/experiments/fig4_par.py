@@ -89,7 +89,6 @@ def run(
     resume: bool = False,
     columnar: bool = False,
     bnb_workers: Optional[int] = 1,
-    batch_days: int = 1,
     alloc_cache: Optional["AllocationCache"] = None,
 ) -> Fig4Result:
     """Regenerate Figure 4 from scratch."""
@@ -104,7 +103,6 @@ def run(
             resume=resume,
             columnar=columnar,
             bnb_workers=bnb_workers,
-            batch_days=batch_days,
             alloc_cache=alloc_cache,
         )
     )

@@ -55,7 +55,6 @@ def run_social_welfare_study(
     resume: bool = False,
     columnar: bool = False,
     bnb_workers: Optional[int] = 1,
-    batch_days: int = 1,
     alloc_cache: Optional["AllocationCache"] = None,
 ) -> SocialWelfareResult:
     """Run the Figures 4-6 study once.
@@ -82,9 +81,6 @@ def run_social_welfare_study(
             fan-out (``1`` = serial, ``0`` = all cores). Completed runs
             stay bit-identical to serial; anytime runs may prove *more*
             days within the same wall budget.
-        batch_days: Columnar-only: fuse up to this many consecutive days
-            per worker task into batched array passes (bit-identical to
-            the per-day path).
         alloc_cache: Columnar-only: a digest-keyed
             :class:`~repro.allocation.cache.AllocationCache`; repeated
             identical day instances replay stored allocations
@@ -110,7 +106,6 @@ def run_social_welfare_study(
         seed,
         workers=workers,
         checkpoint=checkpoint,
-        batch_days=batch_days,
         alloc_cache=alloc_cache,
     )
     return SocialWelfareResult(

@@ -1,11 +1,11 @@
 """The greedy placement sweep of Section IV-C: one scalar kernel.
 
 Every greedy path places its households here — the object
-:meth:`~repro.allocation.greedy.GreedyFlexibilityAllocator.solve`, the
-columnar ``solve_columnar`` and the fused ``solve_columnar_batch`` (and
-through them the ordering ablation's arrival-order greedy).  The caller
-fixes the processing order (flexibility plus random tie-break keys, or a
-shuffle); the kernel only places.
+:meth:`~repro.allocation.greedy.GreedyFlexibilityAllocator.solve` and the
+columnar ``solve_columnar`` (and through them the ordering ablation's
+arrival-order greedy).  The caller fixes the processing order
+(flexibility plus random tie-break keys, or a shuffle); the kernel only
+places.
 
 Under quadratic pricing the marginal cost of a block is, up to a
 placement-independent constant, proportional to the load already under
@@ -56,63 +56,21 @@ def place_day(
     """Place every row in ``order``, in that order; fill ``starts_out``.
 
     ``order`` lists row indices into the four columns; ``starts_out[i]``
-    receives row ``i``'s begin slot.  Returns the kernel backend name
-    recorded on allocation results.
+    receives row ``i``'s begin slot.  The columns are lowered to lists
+    once, already permuted into processing order.  Returns the kernel
+    backend name recorded on allocation results.
     """
-    return _place(
-        [0, len(order)], order, win_start, win_end, duration, rating,
-        pricing, starts_out,
-    )
-
-
-def place_batch(
-    offsets: np.ndarray,
-    order: np.ndarray,
-    win_start: np.ndarray,
-    win_end: np.ndarray,
-    duration: np.ndarray,
-    rating: np.ndarray,
-    pricing: PricingModel,
-    starts_out: np.ndarray,
-) -> str:
-    """Run D independent :func:`place_day` sweeps over stacked columns.
-
-    The columns hold D days' rows stacked day-major; ``offsets`` is the
-    ``D + 1`` ragged boundary vector and ``order[offsets[k]:offsets[k + 1]]``
-    lists day ``k``'s rows — as indices into the stacked columns — in
-    that day's processing order.  The columns are lowered to lists once,
-    already permuted into processing order; each day then sweeps its
-    slice from an empty load, so ``starts_out`` is bit-identical to D
-    separate :func:`place_day` calls.
-    """
-    return _place(
-        np.asarray(offsets).tolist(), order, win_start, win_end, duration,
-        rating, pricing, starts_out,
-    )
-
-
-def _place(
-    bounds: List[int],
-    order: np.ndarray,
-    win_start: np.ndarray,
-    win_end: np.ndarray,
-    duration: np.ndarray,
-    rating: np.ndarray,
-    pricing: PricingModel,
-    starts_out: np.ndarray,
-) -> str:
-    """The sweep behind both entry points; ``bounds`` delimit the days."""
     order = np.asarray(order, dtype=np.intp)
-    a = win_start[order].tolist()
-    b = win_end[order].tolist()
-    v = duration[order].tolist()
-    r = rating[order].tolist()
-    quadratic = isinstance(pricing, QuadraticPricing)
-    placed: List[int] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        day = (a[lo:hi], b[lo:hi], v[lo:hi], r[lo:hi])
-        placed += _sweep_quadratic(*day) if quadratic else _sweep_priced(*day, pricing)
-    starts_out[order] = placed
+    day = (
+        win_start[order].tolist(),
+        win_end[order].tolist(),
+        duration[order].tolist(),
+        rating[order].tolist(),
+    )
+    if isinstance(pricing, QuadraticPricing):
+        starts_out[order] = _sweep_quadratic(*day)
+    else:
+        starts_out[order] = _sweep_priced(*day, pricing)
     return active_backend()
 
 

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.columnar import ColumnarDayBatch, ColumnarNeighborhood, ColumnarReports
+from ..core.columnar import ColumnarNeighborhood, ColumnarReports
 from ..core.intervals import HOURS_PER_DAY, Interval
 from ..core.types import HouseholdId, HouseholdType, Neighborhood, Preference, Report
 from .errors import InvalidReportError
@@ -476,67 +476,3 @@ class Quarantine:
         return ColumnarQuarantineResult(
             accepted=accepted, kept=keep, decisions=decisions, excluded=excluded
         )
-
-    def screen_columnar_batch(
-        self,
-        batch: ColumnarDayBatch,
-        begin: np.ndarray,
-        end: np.ndarray,
-        duration: Optional[np.ndarray] = None,
-    ) -> List[ColumnarQuarantineResult]:
-        """Screen D stacked days' wire arrays in one malformed-mask pass.
-
-        ``begin``/``end`` (and optionally ``duration``) are stacked
-        day-major, aligned with ``batch``'s rows.  One vectorized
-        :func:`malformed_mask` covers all D days; days with no flagged
-        rows — the overwhelming majority — are accepted with a fast
-        all-rows path whose output equals :meth:`screen_columnar`'s
-        clean-day result, and days with flagged rows delegate to the
-        per-day screen so decisions, repairs and exclusion records stay
-        exactly the per-day path's (pinned by the equivalence suite).
-        Under ``reject`` the first dirty day raises, like the per-day
-        loop would.
-        """
-        begin = np.asarray(begin, dtype=float)
-        end = np.asarray(end, dtype=float)
-        total = batch.total
-        if begin.shape[0] != total or end.shape[0] != total:
-            raise ValueError("report arrays are not aligned with the day batch")
-        metered = batch.duration
-        if duration is None:
-            duration = metered.astype(float)
-        else:
-            duration = np.asarray(duration, dtype=float)
-            if duration.shape[0] != total:
-                raise ValueError(
-                    "duration array is not aligned with the day batch"
-                )
-
-        bad = malformed_mask(begin, end, duration, metered)
-        results: List[ColumnarQuarantineResult] = []
-        for k in range(batch.n_days):
-            rows = batch.day_slice(k)
-            if not bool(bad[rows].any()):
-                day_metered = metered[rows]
-                accepted = ColumnarReports(
-                    ids=batch.ids[k],
-                    start=begin[rows].astype(np.intp),
-                    end=end[rows].astype(np.intp),
-                    duration=day_metered.copy(),
-                )
-                results.append(
-                    ColumnarQuarantineResult(
-                        accepted=accepted,
-                        kept=np.ones(len(day_metered), dtype=bool),
-                    )
-                )
-                continue
-            results.append(
-                self.screen_columnar(
-                    batch.neighborhood(k),
-                    begin[rows],
-                    end[rows],
-                    duration[rows],
-                )
-            )
-        return results

@@ -40,24 +40,20 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
-from ..allocation.base import (
-    AllocationProblem,
-    Allocator,
-    ColumnarAllocationResult,
-)
-from ..core.columnar import (
-    ColumnarDayBatch,
-    ColumnarNeighborhood,
-    ColumnarReports,
-)
+from ..allocation.arrays import CompiledProblem
+from ..allocation.base import Allocator
+from ..core.columnar import ColumnarNeighborhood, ColumnarReports
 from ..core.intervals import Interval
 from ..core.mechanism import (
     ColumnarDayOutcome,
     DayOutcome,
     EnkiMechanism,
     closest_feasible_consumption,
+    compile_reports,
+    truthful_reports,
 )
 from ..core.types import (
     ConsumptionMap,
@@ -121,112 +117,34 @@ StudyDayResult = Tuple[List[AllocatorDayRecord], List[Dict], List[Dict]]
 
 
 def _run_study_day(
-    task: Tuple["SocialWelfareStudy", int, int, int],
+    task: Tuple["SocialWelfareStudy", int, int, int, Optional["AllocationCache"]],
 ) -> StudyDayResult:
     """One Figures 4-6 day: sample a population, run every allocator.
 
     Module-level so the parallel runtime can pickle it; ``task`` carries
     the study (its allocators, generator and pricing), the root entropy,
-    the day index and the population size.
+    the day index, the population size and the optional allocation cache.
+    The study's front (object or columnar) samples, screens and lowers
+    the day's reports to one compiled problem; every allocator solves
+    that problem on its own tie-break seed, and PAR is read from the
+    begin slots.
     """
-    study, root, day, n_households = task
+    study, root, day, n_households, alloc_cache = task
     if study.chaos is not None:
         study.chaos.before_day(day)
     py_rng, np_rng = make_day_rngs(root, day)
-    if study.columnar:
-        return _run_study_day_columnar(study, py_rng, np_rng, day, n_households)
-    profiles = study.generator.sample_population(np_rng, n_households)
-    neighborhood = neighborhood_from_profiles(profiles, study.true_preference)
-    reports = {
-        hh.household_id: Report(hh.household_id, hh.true_preference)
-        for hh in neighborhood
-    }
-    quarantine_payloads: List[Dict] = []
-    if study.chaos is not None:
-        reports = study.chaos.corrupt_reports(day, reports)
-    if study.quarantine is not None:
-        screened = study.quarantine.screen(neighborhood, reports)
-        reports = screened.accepted
-        quarantine_payloads = [
-            decision.as_payload()
-            for decision in screened.decisions
-            if decision.action != "accepted"
-        ]
-    problem = AllocationProblem.from_reports(
-        reports, neighborhood.households, study.pricing
-    )
+    front = _columnar_study_front if study.columnar else _object_study_front
+    compiled, quarantine_payloads = front(study, np_rng, day, n_households)
     records: List[AllocatorDayRecord] = []
     fallback_payloads: List[Dict] = []
     for allocator in study.allocators:
-        result = allocator.solve(problem, random.Random(spawn_seed(py_rng)))
-        profile = LoadProfile.from_schedule(
-            result.allocation, neighborhood.households
-        )
-        records.append(
-            AllocatorDayRecord(
-                day=day,
-                n_households=n_households,
-                allocator=allocator.name,
-                par=profile.peak_to_average_ratio(),
-                cost=result.cost,
-                wall_time_s=result.wall_time_s,
-                proven_optimal=result.proven_optimal,
-                nodes_explored=result.nodes_explored,
-                served_tier=result.served_tier,
-                cache_hit=result.cache_hit,
+        rng = random.Random(spawn_seed(py_rng))
+        if alloc_cache is not None:
+            result = alloc_cache.solve_columnar(
+                allocator, compiled, study.pricing, rng
             )
-        )
-        if result.served_tier > 0:
-            fallback_payloads.append(
-                {
-                    "allocator": allocator.name,
-                    "served_tier": result.served_tier,
-                    "trail": [record.as_payload() for record in result.fallback_trail],
-                }
-            )
-    return records, quarantine_payloads, fallback_payloads
-
-
-def _run_study_day_columnar(
-    study: "SocialWelfareStudy",
-    py_rng: random.Random,
-    np_rng,
-    day: int,
-    n_households: int,
-) -> StudyDayResult:
-    """The columnar (large-n) study day: no per-household objects.
-
-    Sampling uses :meth:`ProfileGenerator.sample_population_columnar` —
-    its own draw sequence on the day's keyed substream — so the columnar
-    study's records are reproducible per ``(seed, day)`` and bit-identical
-    across worker counts, but are *not* the object study's records at the
-    same seed (see ``docs/performance.md``).
-    """
-    cols = study.generator.sample_population_columnar(np_rng, n_households)
-    neighborhood = cols.to_neighborhood(study.true_preference)
-    reports = ColumnarReports.truthful(neighborhood)
-    quarantine_payloads: List[Dict] = []
-    if study.quarantine is not None:
-        screened = study.quarantine.screen_columnar(
-            neighborhood,
-            reports.start.astype(float),
-            reports.end.astype(float),
-            reports.duration.astype(float),
-        )
-        quarantine_payloads = [
-            decision.as_payload()
-            for decision in screened.decisions
-            if decision.action != "accepted"
-        ]
-        neighborhood = neighborhood.take(screened.kept)
-        reports = screened.accepted
-    compiled = reports.compile(neighborhood, study.pricing)
-    records: List[AllocatorDayRecord] = []
-    fallback_payloads: List[Dict] = []
-    for allocator in study.allocators:
-        result = allocator.solve_columnar(
-            compiled, study.pricing, random.Random(spawn_seed(py_rng))
-        )
+        else:
+            result = allocator.solve_columnar(compiled, study.pricing, rng)
         profile = LoadProfile.from_arrays(
             result.starts, result.starts + compiled.duration, compiled.rating
         )
@@ -255,157 +173,61 @@ def _run_study_day_columnar(
     return records, quarantine_payloads, fallback_payloads
 
 
-def _plan_batches(
-    pending: Sequence[int],
-    batch_days: int,
-    chaos: Optional[ChaosInjector],
-) -> List[List[int]]:
-    """Chunk pending days into consecutive runs of at most ``batch_days``.
-
-    Chaos crash days always become singleton chunks: a crash must fail
-    (and retry, and be audited) at exactly the day granularity of the
-    per-day oracle, so failure attribution — ``chunk[0]`` — names the
-    crashing day and no sibling day's work rides on the doomed attempt.
-    """
-    crash = chaos.plan.crash_days if chaos is not None else frozenset()
-    chunks: List[List[int]] = []
-    current: List[int] = []
-    for day in pending:
-        if day in crash:
-            if current:
-                chunks.append(current)
-                current = []
-            chunks.append([day])
-            continue
-        if current and (len(current) >= batch_days or day != current[-1] + 1):
-            chunks.append(current)
-            current = []
-        current.append(day)
-    if current:
-        chunks.append(current)
-    return chunks
-
-
-def _run_study_batch(
-    task: Tuple["SocialWelfareStudy", int, List[int], int, Optional["AllocationCache"]],
-) -> List[StudyDayResult]:
-    """A chunk of Figures 4-6 columnar days as fused array passes.
-
-    The batched twin of per-day :func:`_run_study_day_columnar` calls:
-    every day still burns its own keyed substream (sampling draws and
-    tie-break seeds are untouched, so outputs are bit-identical to the
-    per-day path), but sampling shares one id tuple, screening runs as
-    one malformed-mask pass, and greedy allocators place the whole chunk
-    through one fused kernel sweep.  With an ``alloc_cache``, each day's
-    allocation routes through the cache instead (hits replay stored
-    results byte-identically; misses solve per day).
-    """
-    study, root, chunk, n_households, alloc_cache = task
-    day_rngs: List[random.Random] = []
-    np_rngs = []
-    for day in chunk:
-        if study.chaos is not None:
-            study.chaos.before_day(day)
-        py_rng, np_rng = make_day_rngs(root, day)
-        day_rngs.append(py_rng)
-        np_rngs.append(np_rng)
-    neighborhoods = [
-        cols.to_neighborhood(study.true_preference)
-        for cols in study.generator.sample_population_columnar_batch(
-            np_rngs, n_households
-        )
+def _quarantine_payloads(decisions) -> List[Dict]:
+    """Audit payloads of the reports a screen repaired or dropped."""
+    return [
+        decision.as_payload()
+        for decision in decisions
+        if decision.action != "accepted"
     ]
 
-    quarantine_payloads: List[List[Dict]] = [[] for _ in chunk]
+
+def _object_study_front(
+    study: "SocialWelfareStudy", np_rng, day: int, n_households: int
+) -> Tuple[CompiledProblem, List[Dict]]:
+    """The paper's sampler, chaos corruption and the object quarantine.
+
+    Draws the population household by household (the draw order the
+    paper figures depend on) and lowers the screened report map, in its
+    order, with :func:`~repro.core.mechanism.compile_reports`.
+    """
+    profiles = study.generator.sample_population(np_rng, n_households)
+    neighborhood = neighborhood_from_profiles(profiles, study.true_preference)
+    reports = truthful_reports(neighborhood)
+    if study.chaos is not None:
+        reports = study.chaos.corrupt_reports(day, reports)
+    payloads: List[Dict] = []
     if study.quarantine is not None:
-        batch = ColumnarDayBatch.from_neighborhoods(neighborhoods)
-        screened_days = study.quarantine.screen_columnar_batch(
-            batch,
-            batch.true_start.astype(float),
-            batch.true_end.astype(float),
-            batch.duration.astype(float),
-        )
-        compiled_days = []
-        for k, screened in enumerate(screened_days):
-            quarantine_payloads[k] = [
-                decision.as_payload()
-                for decision in screened.decisions
-                if decision.action != "accepted"
-            ]
-            kept_neighborhood = neighborhoods[k].take(screened.kept)
-            compiled_days.append(
-                screened.accepted.compile(kept_neighborhood, study.pricing)
-            )
+        screened = study.quarantine.screen(neighborhood, reports)
+        reports = screened.accepted
+        payloads = _quarantine_payloads(screened.decisions)
+    return compile_reports(neighborhood, reports, study.pricing), payloads
+
+
+def _columnar_study_front(
+    study: "SocialWelfareStudy", np_rng, day: int, n_households: int
+) -> Tuple[CompiledProblem, List[Dict]]:
+    """The columnar (large-n) front: no per-household objects.
+
+    Sampling uses :meth:`ProfileGenerator.sample_population_columnar` —
+    its own draw sequence on the day's keyed substream — so the columnar
+    study's records are reproducible per ``(seed, day)`` and bit-identical
+    across worker counts, but are *not* the object study's records at the
+    same seed (see ``docs/performance.md``).
+    """
+    cols = study.generator.sample_population_columnar(np_rng, n_households)
+    neighborhood = cols.to_neighborhood(study.true_preference)
+    if study.quarantine is None:
+        reports = ColumnarReports.truthful(neighborhood)
+        payloads: List[Dict] = []
     else:
-        compiled_days = [
-            ColumnarReports.truthful(neighborhood).compile(
-                neighborhood, study.pricing
-            )
-            for neighborhood in neighborhoods
-        ]
-
-    # Tie-break rngs are drawn in (day, allocator) order — exactly the
-    # per-day path's draw order on each day's keyed substream — and are
-    # drawn unconditionally, so cache hits never shift later draws.
-    rngs_by_allocator: List[List[random.Random]] = [[] for _ in study.allocators]
-    for py_rng in day_rngs:
-        for slot in rngs_by_allocator:
-            slot.append(random.Random(spawn_seed(py_rng)))
-
-    results_by_allocator: List[List[ColumnarAllocationResult]] = []
-    for allocator, rngs in zip(study.allocators, rngs_by_allocator):
-        if alloc_cache is not None:
-            results = [
-                alloc_cache.solve_columnar(allocator, compiled, study.pricing, rng)
-                for compiled, rng in zip(compiled_days, rngs)
-            ]
-        elif hasattr(allocator, "solve_columnar_batch"):
-            results = allocator.solve_columnar_batch(
-                compiled_days, study.pricing, rngs
-            )
-        else:
-            results = [
-                allocator.solve_columnar(compiled, study.pricing, rng)
-                for compiled, rng in zip(compiled_days, rngs)
-            ]
-        results_by_allocator.append(results)
-
-    out: List[StudyDayResult] = []
-    for k, day in enumerate(chunk):
-        compiled = compiled_days[k]
-        records: List[AllocatorDayRecord] = []
-        fallback_payloads: List[Dict] = []
-        for allocator, results in zip(study.allocators, results_by_allocator):
-            result = results[k]
-            profile = LoadProfile.from_arrays(
-                result.starts, result.starts + compiled.duration, compiled.rating
-            )
-            records.append(
-                AllocatorDayRecord(
-                    day=day,
-                    n_households=n_households,
-                    allocator=allocator.name,
-                    par=profile.peak_to_average_ratio(),
-                    cost=result.cost,
-                    wall_time_s=result.wall_time_s,
-                    proven_optimal=result.proven_optimal,
-                    nodes_explored=result.nodes_explored,
-                    served_tier=result.served_tier,
-                    cache_hit=result.cache_hit,
-                )
-            )
-            if result.served_tier > 0:
-                fallback_payloads.append(
-                    {
-                        "allocator": allocator.name,
-                        "served_tier": result.served_tier,
-                        "trail": [
-                            record.as_payload() for record in result.fallback_trail
-                        ],
-                    }
-                )
-        out.append((records, quarantine_payloads[k], fallback_payloads))
-    return out
+        screened = study.quarantine.screen_columnar(
+            neighborhood, *neighborhood.truthful_wire()
+        )
+        neighborhood = neighborhood.take(screened.kept)
+        reports = screened.accepted
+        payloads = _quarantine_payloads(screened.decisions)
+    return reports.compile(neighborhood, study.pricing), payloads
 
 
 def _guard_checkpoint_meta(
@@ -493,7 +315,6 @@ class SocialWelfareStudy:
         audit: Optional[AuditLog] = None,
         timeout_s: Optional[float] = None,
         retries: int = DEFAULT_RETRIES,
-        batch_days: int = 1,
         alloc_cache: Optional["AllocationCache"] = None,
     ) -> List[AllocatorDayRecord]:
         """Simulate ``days`` independent days with ``n_households`` each.
@@ -518,11 +339,6 @@ class SocialWelfareStudy:
             timeout_s: Per-round stall detector for the parallel runtime
                 (see :func:`repro.sim.parallel.map_tasks`).
             retries: Pool retry budget per failed day before inline rerun.
-            batch_days: Columnar-only: run up to this many consecutive
-                days per worker task as fused array passes
-                (:func:`_run_study_batch`).  ``1`` (default) keeps the
-                per-day oracle path; results are bit-identical either
-                way (modulo per-call wall times).
             alloc_cache: Columnar-only: route every allocation through a
                 digest-keyed :class:`~repro.allocation.cache.
                 AllocationCache` — repeated instances replay stored
@@ -530,14 +346,11 @@ class SocialWelfareStudy:
         """
         if days < 1:
             raise ValueError(f"days must be >= 1, got {days}")
-        if batch_days < 1:
-            raise ValueError(f"batch_days must be >= 1, got {batch_days}")
-        if (batch_days > 1 or alloc_cache is not None) and not self.columnar:
+        if alloc_cache is not None and not self.columnar:
             raise ValueError(
-                "batch_days > 1 and alloc_cache require the columnar path "
+                "alloc_cache requires the columnar path "
                 "(construct the study with columnar=True)"
             )
-        batched = self.columnar and (batch_days > 1 or alloc_cache is not None)
         root = root_entropy(seed)
         done: Dict[str, Dict[str, Any]] = {}
         if checkpoint is not None:
@@ -550,16 +363,12 @@ class SocialWelfareStudy:
         pending = [
             day for day in range(days) if day_key(day, checkpoint_prefix) not in done
         ]
-        chunks = (
-            _plan_batches(pending, batch_days, self.chaos)
-            if batched
-            else [[day] for day in pending]
-        )
+        tasks = [(self, root, day, n_households, alloc_cache) for day in pending]
 
-        def _append_day(day: int, value: StudyDayResult) -> None:
+        def _persist(index: int, value: StudyDayResult) -> None:
             records, quarantined, fallbacks = value
             checkpoint.append(
-                day_key(day, checkpoint_prefix),
+                day_key(pending[index], checkpoint_prefix),
                 {
                     "records": [asdict(record) for record in records],
                     "quarantine": quarantined,
@@ -571,7 +380,7 @@ class SocialWelfareStudy:
             audit.append(
                 AuditEvent(
                     kind="worker_failure",
-                    day=chunks[failure.index][0],
+                    day=pending[failure.index],
                     payload={
                         "attempt": failure.attempt,
                         "cause": failure.cause,
@@ -580,43 +389,16 @@ class SocialWelfareStudy:
                 )
             )
 
-        computed: Dict[int, StudyDayResult] = {}
-        if batched:
-            tasks_b = [
-                (self, root, chunk, n_households, alloc_cache) for chunk in chunks
-            ]
-
-            def _persist_batch(index: int, value: List[StudyDayResult]) -> None:
-                for day, day_result in zip(chunks[index], value):
-                    _append_day(day, day_result)
-
-            per_chunk = map_tasks(
-                _run_study_batch,
-                tasks_b,
-                workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                on_result=_persist_batch if checkpoint is not None else None,
-                on_failure=_log_failure if audit is not None else None,
-            )
-            for chunk, chunk_results in zip(chunks, per_chunk):
-                computed.update(zip(chunk, chunk_results))
-        else:
-            tasks = [(self, root, day, n_households) for day in pending]
-
-            def _persist(index: int, value: StudyDayResult) -> None:
-                _append_day(pending[index], value)
-
-            per_day = map_tasks(
-                _run_study_day,
-                tasks,
-                workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                on_result=_persist if checkpoint is not None else None,
-                on_failure=_log_failure if audit is not None else None,
-            )
-            computed = dict(zip(pending, per_day))
+        per_day = map_tasks(
+            _run_study_day,
+            tasks,
+            workers,
+            timeout_s=timeout_s,
+            retries=retries,
+            on_result=_persist if checkpoint is not None else None,
+            on_failure=_log_failure if audit is not None else None,
+        )
+        computed = dict(zip(pending, per_day))
 
         out: List[AllocatorDayRecord] = []
         for day in range(days):
@@ -647,14 +429,13 @@ class SocialWelfareStudy:
         audit: Optional[AuditLog] = None,
         timeout_s: Optional[float] = None,
         retries: int = DEFAULT_RETRIES,
-        batch_days: int = 1,
         alloc_cache: Optional["AllocationCache"] = None,
     ) -> List[AllocatorDayRecord]:
         """Run the study across population sizes (the Figures 4-6 x-axis).
 
         With a ``checkpoint``, each population size keeps its own key
         prefix in the shared store, so a killed sweep resumes mid-sweep.
-        ``batch_days``/``alloc_cache`` pass through to each :meth:`run`.
+        ``alloc_cache`` passes through to each :meth:`run`.
         """
         rng = random.Random(seed)
         records: List[AllocatorDayRecord] = []
@@ -670,7 +451,6 @@ class SocialWelfareStudy:
                     audit=audit,
                     timeout_s=timeout_s,
                     retries=retries,
-                    batch_days=batch_days,
                     alloc_cache=alloc_cache,
                 )
             )
@@ -706,18 +486,28 @@ def follow_or_closest_policy(
 
 
 def _run_simulation_day(
-    task: Tuple["NeighborhoodSimulation", Neighborhood, int, int],
-) -> DayOutcome:
+    task: Tuple["NeighborhoodSimulation", Any, int, int],
+) -> Union[DayOutcome, ColumnarDayOutcome]:
     """One full mechanism day: report, allocate, consume, settle.
 
     Module-level so the parallel runtime can pickle it.  Custom policies
     must themselves be picklable (module-level functions or instances) to
-    run with ``workers > 1``.
+    run with ``workers > 1``.  A columnar simulation's day runs through
+    :meth:`EnkiMechanism.run_day_columnar` with the default policies; its
+    neighborhood arrives either as arrays or, when the run fans out to
+    workers, as a :class:`~repro.sim.shm.SharedColumnarDay` descriptor,
+    resolved here to zero-copy views over the parent's segment.
     """
     simulation, neighborhood, root, day = task
     if simulation.chaos is not None:
         simulation.chaos.before_day(day)
     rng, _ = make_day_rngs(root, day)
+    if simulation.columnar:
+        if isinstance(neighborhood, SharedColumnarDay):
+            neighborhood = neighborhood.neighborhood()
+        return simulation.mechanism.run_day_columnar(
+            neighborhood, rng=random.Random(spawn_seed(rng))
+        )
     reports: Dict[HouseholdId, Report] = {
         hh.household_id: simulation.report_policy(day, hh, rng)
         for hh in neighborhood
@@ -755,69 +545,6 @@ def _run_simulation_day(
         settlement=settlement,
         quarantine_decisions=decisions,
     )
-
-
-def _run_simulation_day_columnar(
-    task: Tuple["NeighborhoodSimulation", ColumnarNeighborhood, int, int],
-) -> ColumnarDayOutcome:
-    """One columnar mechanism day: truthful reports, closest consumption.
-
-    The columnar twin of :func:`_run_simulation_day`, restricted to the
-    default policies (enforced at construction) because custom policies
-    are written against per-household objects.
-    """
-    simulation, neighborhood, root, day = task
-    if simulation.chaos is not None:
-        simulation.chaos.before_day(day)
-    rng, _ = make_day_rngs(root, day)
-    return simulation.mechanism.run_day_columnar(
-        neighborhood, rng=random.Random(spawn_seed(rng))
-    )
-
-
-def _run_simulation_day_shm(
-    task: Tuple["NeighborhoodSimulation", SharedColumnarDay, int, int],
-) -> ColumnarDayOutcome:
-    """The shared-memory twin of :func:`_run_simulation_day_columnar`.
-
-    The task carries a :class:`~repro.sim.shm.SharedColumnarDay`
-    descriptor (a few hundred bytes) instead of the neighborhood itself;
-    the worker reconstructs zero-copy array views over the parent's
-    shared segment.  Everything downstream is the same code, so outcomes
-    are bit-identical to the pickle transport and to serial runs.
-    """
-    simulation, day, root, day_index = task
-    if simulation.chaos is not None:
-        simulation.chaos.before_day(day_index)
-    rng, _ = make_day_rngs(root, day_index)
-    return simulation.mechanism.run_day_columnar(
-        day.neighborhood(), rng=random.Random(spawn_seed(rng))
-    )
-
-
-def _run_simulation_batch(
-    task: Tuple["NeighborhoodSimulation", Any, int, List[int]],
-) -> List[ColumnarDayOutcome]:
-    """A chunk of columnar mechanism days through one fused batch run.
-
-    The batched twin of :func:`_run_simulation_day_columnar`: each day
-    still burns its own keyed substream (chaos firing and tie-break seed
-    draw order unchanged), then the whole chunk flows through
-    :meth:`~repro.core.mechanism.EnkiMechanism.run_days_columnar` — one
-    screen, one compile, one fused placement sweep.  The neighborhood
-    reference may be a :class:`~repro.sim.shm.SharedColumnarDay`
-    descriptor, reconstructed here as zero-copy views.
-    """
-    simulation, neighborhood, root, chunk = task
-    rngs: List[random.Random] = []
-    for day in chunk:
-        if simulation.chaos is not None:
-            simulation.chaos.before_day(day)
-        rng, _ = make_day_rngs(root, day)
-        rngs.append(random.Random(spawn_seed(rng)))
-    if isinstance(neighborhood, SharedColumnarDay):
-        neighborhood = neighborhood.neighborhood()
-    return simulation.mechanism.run_days_columnar(neighborhood, rngs)
 
 
 class NeighborhoodSimulation:
@@ -887,8 +614,6 @@ class NeighborhoodSimulation:
         audit: Optional[AuditLog] = None,
         timeout_s: Optional[float] = None,
         retries: int = DEFAULT_RETRIES,
-        transport: str = "auto",
-        batch_days: int = 1,
     ) -> List[DayOutcome]:
         """Simulate ``days`` settled days for a fixed neighborhood.
 
@@ -898,6 +623,8 @@ class NeighborhoodSimulation:
             seed: Master seed; day ``d`` draws from substream ``(seed, d)``.
             workers: Process count for the day fan-out; ``1`` (default)
                 runs serially.  Parallel output is bit-identical to serial.
+                A columnar run that fans out packs its neighborhood into
+                shared memory once (:mod:`repro.sim.shm`).
             checkpoint: Persist each day's outcome as it completes and
                 replay already-completed days on rerun (``--resume``).
             checkpoint_prefix: Key prefix inside the store.
@@ -905,22 +632,6 @@ class NeighborhoodSimulation:
                 events.
             timeout_s: Stall detector for the parallel runtime.
             retries: Pool retry budget per failed day before inline rerun.
-            transport: How columnar day tasks reach workers.  ``"shm"``
-                packs the neighborhood once into a shared-memory segment
-                and ships a tiny descriptor per day (zero-copy views in
-                the workers); ``"pickle"`` serializes the neighborhood
-                into every task (the pre-shm behaviour); ``"auto"``
-                (default) picks ``"shm"`` whenever the columnar day loop
-                fans out to workers.  Outcomes are bit-identical across
-                transports.  Non-columnar runs must leave this ``"auto"``
-                or ``"pickle"``.
-            batch_days: Columnar-only: run up to this many consecutive
-                days per worker task through the fused
-                :meth:`~repro.core.mechanism.EnkiMechanism.
-                run_days_columnar` batch (one screen, one compile, one
-                placement sweep).  ``1`` (default) keeps the per-day
-                path; outcomes are bit-identical either way (modulo
-                per-call wall times).
 
         On the columnar path (``columnar=True``), ``neighborhood`` may be
         either representation (an object :class:`Neighborhood` is lowered
@@ -931,22 +642,6 @@ class NeighborhoodSimulation:
         """
         if days < 1:
             raise ValueError(f"days must be >= 1, got {days}")
-        if batch_days < 1:
-            raise ValueError(f"batch_days must be >= 1, got {batch_days}")
-        if batch_days > 1 and not self.columnar:
-            raise ValueError(
-                "batch_days > 1 requires the columnar path (construct the "
-                "simulation with columnar=True)"
-            )
-        if transport not in ("auto", "pickle", "shm"):
-            raise ValueError(
-                f"transport must be 'auto', 'pickle' or 'shm', got {transport!r}"
-            )
-        if transport == "shm" and not self.columnar:
-            raise ValueError(
-                "the shared-memory transport carries columnar arrays; "
-                "construct the simulation with columnar=True"
-            )
         if self.columnar:
             if checkpoint is not None:
                 raise ValueError(
@@ -966,29 +661,12 @@ class NeighborhoodSimulation:
         pending = [
             day for day in range(days) if day_key(day, checkpoint_prefix) not in done
         ]
-        batched = self.columnar and batch_days > 1
-        chunks = (
-            _plan_batches(pending, batch_days, self.chaos)
-            if batched
-            else [[day] for day in pending]
-        )
-        day_fn: Callable = (
-            _run_simulation_day_columnar if self.columnar else _run_simulation_day
-        )
         day_ref: Any = neighborhood
         arena: Optional[SharedArena] = None
-        if self.columnar and (
-            transport == "shm"
-            or (transport == "auto" and workers not in (None, 1))
-        ):
+        if self.columnar and workers not in (None, 1):
             arena = SharedArena()
             day_ref = arena.pack_day(neighborhood)
-            day_fn = _run_simulation_day_shm
-        if batched:
-            day_fn = _run_simulation_batch
-            tasks = [(self, day_ref, root, chunk) for chunk in chunks]
-        else:
-            tasks = [(self, day_ref, root, day) for day in pending]
+        tasks = [(self, day_ref, root, day) for day in pending]
 
         def _persist(index: int, outcome: DayOutcome) -> None:
             checkpoint.append(
@@ -1000,7 +678,7 @@ class NeighborhoodSimulation:
             audit.append(
                 AuditEvent(
                     kind="worker_failure",
-                    day=chunks[failure.index][0],
+                    day=pending[failure.index],
                     payload={
                         "attempt": failure.attempt,
                         "cause": failure.cause,
@@ -1011,7 +689,7 @@ class NeighborhoodSimulation:
 
         try:
             computed_list = map_tasks(
-                day_fn,
+                _run_simulation_day,
                 tasks,
                 workers,
                 timeout_s=timeout_s,
@@ -1022,12 +700,7 @@ class NeighborhoodSimulation:
         finally:
             if arena is not None:
                 arena.dispose()
-        if batched:
-            computed = {}
-            for chunk, chunk_outcomes in zip(chunks, computed_list):
-                computed.update(zip(chunk, chunk_outcomes))
-        else:
-            computed = dict(zip(pending, computed_list))
+        computed = dict(zip(pending, computed_list))
 
         outcomes: List[DayOutcome] = []
         for day in range(days):

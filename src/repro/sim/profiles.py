@@ -23,6 +23,7 @@ also start earlier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -258,7 +259,6 @@ class ProfileGenerator:
         rng: np.random.Generator,
         size: int,
         id_prefix: str = "hh",
-        ids: Optional[Tuple[str, ...]] = None,
     ) -> ColumnarProfiles:
         """Draw ``size`` profiles with batched array draws — the large-n path.
 
@@ -273,14 +273,12 @@ class ProfileGenerator:
         is established on *identical inputs* via the bridges, not at the
         sampler.
 
-        ``ids`` optionally supplies a pre-built id tuple (all days of a
-        fixed-n batch share one) — ids are deterministic in ``size``, so
-        this only skips the per-day f-string pass, never changes output.
+        The id tuple is a pure function of ``(id_prefix, size)`` and is
+        memoized (:func:`_population_ids`), so consecutive days of one
+        population size share one tuple and its strings' cached hashes.
         """
         if size < 1:
             raise ValueError(f"population size must be >= 1, got {size}")
-        if ids is not None and len(ids) != size:
-            raise ValueError(f"got {len(ids)} ids for population size {size}")
         cfg = self.config
         duration = rng.integers(
             cfg.min_duration, cfg.max_duration + 1, size=size
@@ -303,11 +301,8 @@ class ProfileGenerator:
             ).astype(np.intp)
 
         valuation = rng.uniform(cfg.min_valuation, cfg.max_valuation, size=size)
-        if ids is None:
-            width = len(str(size - 1))
-            ids = tuple(f"{id_prefix}{index:0{width}d}" for index in range(size))
         return ColumnarProfiles(
-            ids=ids,
+            ids=_population_ids(id_prefix, size),
             narrow_start=narrow_begin,
             narrow_end=narrow_end,
             wide_start=wide_begin,
@@ -317,30 +312,12 @@ class ProfileGenerator:
             valuation=valuation,
         )
 
-    def sample_population_columnar_batch(
-        self,
-        rngs: Sequence[np.random.Generator],
-        size: int,
-        id_prefix: str = "hh",
-    ) -> List[ColumnarProfiles]:
-        """Draw one columnar population per generator in ``rngs``.
 
-        The batched front end of the multi-day engine: every day's keyed
-        substream is consumed up front, each through exactly the
-        field-by-field draw sequence of
-        :meth:`sample_population_columnar` — so day ``k``'s population is
-        bit-identical to a separate per-day call with ``rngs[k]``.  The
-        id tuple (a pure function of ``size``) is built once and shared
-        across all D days.
-        """
-        if size < 1:
-            raise ValueError(f"population size must be >= 1, got {size}")
-        width = len(str(size - 1))
-        ids = tuple(f"{id_prefix}{index:0{width}d}" for index in range(size))
-        return [
-            self.sample_population_columnar(rng, size, id_prefix, ids=ids)
-            for rng in rngs
-        ]
+@lru_cache(maxsize=1)
+def _population_ids(id_prefix: str, size: int) -> Tuple[str, ...]:
+    """The stable ids of a population: ``id_prefix`` plus a padded index."""
+    width = len(str(size - 1))
+    return tuple(f"{id_prefix}{index:0{width}d}" for index in range(size))
 
 
 def neighborhood_from_profiles(

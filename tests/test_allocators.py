@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.allocation.base import AllocationProblem
+from repro.allocation.base import AllocationItem, AllocationProblem
 from repro.allocation.exhaustive import ExhaustiveAllocator
 from repro.allocation.greedy import (
     GreedyFlexibilityAllocator,
@@ -179,6 +179,17 @@ class TestLocalSearch:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             LocalSearchAllocator(restarts=0)
+
+    def test_two_step_survives_residual_load(self):
+        """Lifting 7.2 kW off 7.2 + 0.1 leaves -3.6e-16 kW under the
+        0.1 kW block; two-step pricing must read it as zero, not raise."""
+        items = (
+            AllocationItem("h0", Interval(0, 4), 2, 7.2),
+            AllocationItem("h1", Interval(0, 1), 1, 0.1),
+        )
+        problem = AllocationProblem(items, TwoStepPricing(6.0, 0.1, 0.5))
+        result = LocalSearchAllocator().solve(problem, random.Random(0))
+        assert problem.is_feasible(result.allocation)
 
 
 class TestBaselines:

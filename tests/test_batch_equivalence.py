@@ -1,15 +1,13 @@
-"""Equivalence suite: the batched multi-day engine and the allocation cache.
+"""Equivalence suite: the digest-keyed allocation cache.
 
-The batched engine (``batch_days > 1``) and the digest-keyed
-:class:`~repro.allocation.cache.AllocationCache` are pure replumbings of
-the per-day columnar path: this module pins that a study or simulation
-run batched, warm-cached, or both is **bit-identical** to the per-day
-loop — records, settlements, quarantine decisions, checkpoint stores —
-with only ``wall_time_s`` and the ``cache_hit`` provenance bit allowed
-to differ.  Also pinned here: the digest layer's stability contract
-(same problem content → same digest in the parent and in a spawned
-interpreter, whatever the kernel backend name; one flipped rating bit →
-a different digest) and the compile cache's hit-rate counters.
+The :class:`~repro.allocation.cache.AllocationCache` is a pure
+replumbing of the per-day columnar study: this module pins that a study
+run warm-cached is **bit-identical** to the uncached run, with only
+``wall_time_s`` and the ``cache_hit`` provenance bit allowed to differ.
+Also pinned here: the digest layer's stability contract (same problem
+content → same digest in the parent and in a spawned interpreter,
+whatever the kernel backend name; one flipped rating bit → a different
+digest) and the compile cache's hit-rate counters.
 """
 
 import random
@@ -17,9 +15,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.allocation.arrays import (
     compile_cache_stats,
@@ -30,12 +25,9 @@ from repro.allocation.base import AllocationProblem
 from repro.allocation.cache import AllocationCache, problem_digest
 from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator
-from repro.core.columnar import ColumnarDayBatch, ColumnarReports
-from repro.core.mechanism import EnkiMechanism
+from repro.core.columnar import ColumnarReports
 from repro.pricing.quadratic import QuadraticPricing
-from repro.robustness import ChaosInjector, ChaosPlan
-from repro.robustness.quarantine import Quarantine
-from repro.sim.engine import NeighborhoodSimulation, SocialWelfareStudy
+from repro.sim.engine import SocialWelfareStudy
 from repro.sim.profiles import ProfileGenerator
 
 
@@ -48,179 +40,11 @@ def _record_key(records):
     ]
 
 
-def _outcome_key(outcomes):
-    """Everything a simulation day decides, minus wall-clock time."""
-    return [
-        (
-            o.allocation_starts.tolist(),
-            o.consumption_starts.tolist(),
-            o.settlement.ids,
-            o.settlement.total_cost,
-            o.settlement.payments.tolist(),
-        )
-        for o in outcomes
-    ]
-
-
 def _wide_neighborhood(n, seed):
     cols = ProfileGenerator().sample_population_columnar(
         np.random.default_rng(seed), n
     )
     return cols.to_neighborhood("wide")
-
-
-# ------------------------------------------------------- batched study runs
-
-class TestBatchedStudyEquivalence:
-    @given(
-        n=st.integers(min_value=1, max_value=200),
-        days=st.integers(min_value=1, max_value=16),
-        batch_days=st.integers(min_value=2, max_value=16),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_batched_matches_per_day(self, n, days, batch_days, seed):
-        study = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()], columnar=True
-        )
-        per_day = study.run(n, days, seed=seed, workers=1)
-        batched = study.run(
-            n, days, seed=seed, workers=1, batch_days=batch_days
-        )
-        assert _record_key(per_day) == _record_key(batched)
-
-    def test_batched_with_quarantine_matches_per_day(self):
-        study = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()],
-            quarantine=Quarantine("clamp"),
-            columnar=True,
-        )
-        per_day = study.run(40, 6, seed=11, workers=1)
-        batched = study.run(40, 6, seed=11, workers=1, batch_days=3)
-        assert _record_key(per_day) == _record_key(batched)
-
-    def test_batched_with_exact_solver_matches_per_day(self):
-        study = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator(),
-             BranchAndBoundAllocator(time_limit_s=None, seed=1)],
-            columnar=True,
-        )
-        per_day = study.run(10, 4, seed=3, workers=1)
-        batched = study.run(10, 4, seed=3, workers=1, batch_days=4)
-        assert _record_key(per_day) == _record_key(batched)
-
-    def test_batched_workers_match_serial(self):
-        study = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()], columnar=True
-        )
-        serial = study.run(30, 8, seed=17, workers=1, batch_days=3)
-        fanned = study.run(30, 8, seed=17, workers=4, batch_days=3)
-        assert _record_key(serial) == _record_key(fanned)
-
-    def test_batched_checkpoint_matches_per_day(self, tmp_path):
-        from repro.robustness.checkpoint import CheckpointStore
-
-        study = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()], columnar=True
-        )
-        per_day = study.run(
-            25, 5, seed=7,
-            checkpoint=CheckpointStore(str(tmp_path / "per_day.jsonl")),
-        )
-        store = str(tmp_path / "batched.jsonl")
-        batched = study.run(
-            25, 5, seed=7, checkpoint=CheckpointStore(store), batch_days=5
-        )
-        assert _record_key(per_day) == _record_key(batched)
-        # A rerun over the same store replays every checkpointed day.
-        resumed = study.run(
-            25, 5, seed=7, checkpoint=CheckpointStore(store), batch_days=5
-        )
-        assert _record_key(resumed) == _record_key(per_day)
-
-    def test_batch_days_validation(self):
-        columnar = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()], columnar=True
-        )
-        with pytest.raises(ValueError, match=">= 1"):
-            columnar.run(10, 2, seed=1, batch_days=0)
-        object_path = SocialWelfareStudy([GreedyFlexibilityAllocator()])
-        with pytest.raises(ValueError, match="columnar"):
-            object_path.run(10, 2, seed=1, batch_days=4)
-
-
-@pytest.mark.chaos
-class TestBatchedChaos:
-    """Crash days become singleton chunks and recover bit-identically."""
-
-    def test_crash_days_recover_bit_identically(self, tmp_path):
-        plan = ChaosPlan(root=55, crash_days=frozenset({2, 5}))
-        injector = ChaosInjector(plan, fault_dir=str(tmp_path / "faults"))
-        chaotic = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()], columnar=True, chaos=injector
-        ).run(15, 8, seed=41, workers=4, batch_days=4)
-        clean = SocialWelfareStudy(
-            [GreedyFlexibilityAllocator()], columnar=True
-        ).run(15, 8, seed=41, workers=1)
-        assert _record_key(chaotic) == _record_key(clean)
-
-
-# -------------------------------------------------- batched simulation runs
-
-class TestBatchedSimulationEquivalence:
-    def test_batched_matches_per_day(self):
-        neighborhood = _wide_neighborhood(30, seed=5)
-        simulation = NeighborhoodSimulation(EnkiMechanism(seed=2), columnar=True)
-        per_day = simulation.run(neighborhood, days=7, seed=13, workers=1)
-        batched = simulation.run(
-            neighborhood, days=7, seed=13, workers=1, batch_days=3
-        )
-        assert _outcome_key(per_day) == _outcome_key(batched)
-
-    def test_run_days_columnar_matches_loop(self):
-        neighborhood = _wide_neighborhood(25, seed=8)
-        mechanism = EnkiMechanism(seed=4)
-        rngs = [random.Random(1000 + day) for day in range(5)]
-        batched = mechanism.run_days_columnar(neighborhood, rngs)
-        per_day = [
-            mechanism.run_day_columnar(neighborhood, rng=random.Random(1000 + day))
-            for day in range(5)
-        ]
-        assert _outcome_key(per_day) == _outcome_key(batched)
-
-
-# ------------------------------------------------------ batched quarantine
-
-class TestBatchedScreen:
-    def test_screen_batch_matches_per_day_with_malformed_rows(self):
-        neighborhoods = [_wide_neighborhood(12, seed=s) for s in (1, 2, 3)]
-        batch = ColumnarDayBatch.from_neighborhoods(neighborhoods)
-        begin = batch.true_start.astype(float)
-        end = batch.true_end.astype(float)
-        duration = batch.duration.astype(float)
-        # Corrupt one row in each day, three distinct ways.
-        begin[2] = -4.0
-        end[batch.day_slice(1)][3] = float("nan")
-        duration[batch.day_slice(2).start + 5] += 1.0
-        quarantine = Quarantine("clamp")
-        batched = quarantine.screen_columnar_batch(batch, begin, end, duration)
-        assert len(batched) == 3
-        for k, neighborhood in enumerate(neighborhoods):
-            sl = batch.day_slice(k)
-            single = quarantine.screen_columnar(
-                neighborhood, begin[sl], end[sl], duration[sl]
-            )
-            one = batched[k]
-            assert np.array_equal(one.kept, single.kept)
-            assert one.excluded == single.excluded
-            assert [
-                (d.household_id, d.action, d.reason) for d in one.decisions
-            ] == [
-                (d.household_id, d.action, d.reason) for d in single.decisions
-            ]
-            assert one.accepted.ids == single.accepted.ids
-            assert np.array_equal(one.accepted.start, single.accepted.start)
-            assert np.array_equal(one.accepted.end, single.accepted.end)
 
 
 # ------------------------------------------------------- allocation cache
@@ -233,8 +57,8 @@ class TestAllocationCache:
              BranchAndBoundAllocator(time_limit_s=None, seed=1)],
             columnar=True,
         )
-        cold = study.run(12, 4, seed=9, alloc_cache=cache, batch_days=4)
-        warm = study.run(12, 4, seed=9, alloc_cache=cache, batch_days=4)
+        cold = study.run(12, 4, seed=9, alloc_cache=cache)
+        warm = study.run(12, 4, seed=9, alloc_cache=cache)
         assert _record_key(cold) == _record_key(warm)
         assert all(not r.cache_hit for r in cold)
         # With no time limit every B&B day proves, so every warm solve

@@ -111,7 +111,7 @@ class TestProfileFlag:
     def test_profile_batched_run_captures_batch_kernels(
         self, capsys, tmp_path, monkeypatch
     ):
-        """Batched mode merges the batch-engine frames into the dump."""
+        """A columnar study's day task and placement kernel are in the dump."""
         monkeypatch.chdir(tmp_path)
         code = main(
             [
@@ -121,7 +121,6 @@ class TestProfileFlag:
                 "--days", "2",
                 "--time-limit", "2.0",
                 "--columnar",
-                "--batch-days", "2",
             ]
         )
         assert code == 0
@@ -129,26 +128,11 @@ class TestProfileFlag:
 
         stats = pstats.Stats(str(tmp_path / "fig4.pstats"))
         frames = {func for (_, _, func) in stats.stats}
-        assert "_run_study_batch" in frames
-        assert "place_batch" in frames
+        assert "_run_study_day" in frames
+        assert "place_day" in frames
 
 
 class TestBatchedFlags:
-    def test_batch_days_must_be_positive(self, capsys):
-        code = main(
-            ["simulate", "--n", "5", "--days", "1", "--columnar",
-             "--batch-days", "0"]
-        )
-        assert code == 2
-        assert ">= 1" in capsys.readouterr().err
-
-    def test_batch_days_requires_columnar(self, capsys):
-        code = main(
-            ["simulate", "--n", "5", "--days", "2", "--batch-days", "2"]
-        )
-        assert code == 2
-        assert "--columnar" in capsys.readouterr().err
-
     def test_alloc_cache_requires_columnar_for_sweeps(self, capsys):
         code = main(
             ["fig5", "--populations", "5", "--days", "1", "--alloc-cache"]
@@ -158,8 +142,7 @@ class TestBatchedFlags:
 
     def test_simulate_batched_runs(self, capsys):
         code = main(
-            ["simulate", "--n", "12", "--days", "3", "--columnar",
-             "--batch-days", "3"]
+            ["simulate", "--n", "12", "--days", "3", "--columnar"]
         )
         assert code == 0
         assert "defectors" in capsys.readouterr().out
@@ -172,7 +155,6 @@ class TestBatchedFlags:
                 "--days", "2",
                 "--time-limit", "2.0",
                 "--columnar",
-                "--batch-days", "2",
                 "--alloc-cache",
             ]
         )

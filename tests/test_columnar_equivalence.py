@@ -191,13 +191,9 @@ class TestOrderHook:
         obj = allocator.solve(problem, random.Random(seed))
         compiled = compile_problem(problem)
         col = allocator.solve_columnar(compiled, problem.pricing, random.Random(seed))
-        (batch,) = allocator.solve_columnar_batch(
-            [compiled], problem.pricing, [random.Random(seed)]
-        )
         for row, hid in enumerate(compiled.ids):
             assert int(col.starts[row]) == obj.allocation[hid].start
-            assert int(batch.starts[row]) == obj.allocation[hid].start
-        assert col.cost == obj.cost == batch.cost
+        assert col.cost == obj.cost
         assert list(col.to_result(compiled).allocation) == list(obj.allocation)
 
     def test_ordering_variants_have_distinct_cache_tokens(self):
@@ -334,6 +330,32 @@ class TestQuarantineColumnarParity:
         assert neighborhood.ids[1] in flagged
 
 
+class TestStrictColumnarDay:
+    """Without a quarantine, a malformed wire row raises as ``reject`` does."""
+
+    @pytest.mark.parametrize(
+        "reason, column, value",
+        [
+            ("duration-mismatch", 2, 3.0),  # metered duration is 2
+            ("inverted-window", 1, 19.0),   # window starts at 20
+            ("out-of-grid", 1, 25.0),
+        ],
+    )
+    def test_malformed_row_raises_the_reject_reason(self, reason, column, value):
+        neighborhood = ProfileGenerator().sample_population_columnar(
+            np.random.default_rng(1), 6
+        ).to_neighborhood("wide")
+        wire = list(neighborhood.truthful_wire())
+        wire[column][0] = value
+        with pytest.raises(InvalidReportError) as strict:
+            EnkiMechanism(seed=1).run_day_columnar_raw(
+                neighborhood, *wire, rng=random.Random(0)
+            )
+        with pytest.raises(InvalidReportError) as rejected:
+            Quarantine("reject").screen_columnar(neighborhood, *wire)
+        assert strict.value.reason == rejected.value.reason == reason
+
+
 # --------------------------------------------------------- sampler + bridges
 
 class TestColumnarSampler:
@@ -351,6 +373,19 @@ class TestColumnarSampler:
         assert np.all(a.narrow_end <= a.wide_end)
         assert np.all(a.narrow_end - a.narrow_start >= a.duration)
         assert np.all(a.duration >= 1)
+
+    def test_id_tuple_is_shared_per_prefix_and_size(self):
+        generator = ProfileGenerator()
+
+        def ids(seed, size, prefix="hh"):
+            return generator.sample_population_columnar(
+                np.random.default_rng(seed), size, id_prefix=prefix
+            ).ids
+
+        first = ids(1, 50)
+        assert ids(2, 50) is first
+        assert ids(3, 50, prefix="s1-hh") is not first
+        assert ids(4, 51) is not first
 
     def test_round_trip_through_objects(self):
         generator = ProfileGenerator()
@@ -480,17 +515,13 @@ def _wide_columnar_neighborhood(n, seed):
 
 
 class TestSharedMemoryEquivalence:
-    """The shm transport is a pure transport change: results bit-identical."""
+    """A fanned-out run ships its days through shared memory: same bits."""
 
     def test_shm_workers4_matches_pickle_serial(self):
         neighborhood = _wide_columnar_neighborhood(35, seed=9)
         simulation = NeighborhoodSimulation(EnkiMechanism(seed=1), columnar=True)
-        serial = simulation.run(
-            neighborhood, days=4, seed=321, workers=1, transport="pickle"
-        )
-        fanned = simulation.run(
-            neighborhood, days=4, seed=321, workers=4, transport="shm"
-        )
+        serial = simulation.run(neighborhood, days=4, seed=321, workers=1)
+        fanned = simulation.run(neighborhood, days=4, seed=321, workers=4)
         assert _sim_outcome_key(serial) == _sim_outcome_key(fanned)
         assert shm.active_segments() == ()
 
@@ -505,10 +536,10 @@ class TestSharedMemoryChaos:
         neighborhood = _wide_columnar_neighborhood(30, seed=13)
         chaotic = NeighborhoodSimulation(
             EnkiMechanism(seed=1), chaos=injector, columnar=True
-        ).run(neighborhood, days=5, seed=99, workers=4, transport="shm")
+        ).run(neighborhood, days=5, seed=99, workers=4)
         clean = NeighborhoodSimulation(
             EnkiMechanism(seed=1), columnar=True
-        ).run(neighborhood, days=5, seed=99, workers=1, transport="pickle")
+        ).run(neighborhood, days=5, seed=99, workers=1)
         # Crashed-and-retried days converge to the clean serial outcomes...
         assert _sim_outcome_key(chaotic) == _sim_outcome_key(clean)
         # ...and the arena's registry is empty: every owned segment was

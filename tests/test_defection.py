@@ -2,11 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from repro.core.defection import defection_score, defection_scores, overlap_fraction
+from repro.core.defection import (
+    defection_score,
+    defection_scores,
+    defection_vector,
+    overlap_fraction,
+)
 from repro.core.intervals import Interval
 from repro.core.types import HouseholdType, Preference
+from repro.pricing.piecewise import TwoStepPricing
 from repro.pricing.quadratic import QuadraticPricing
 
 
@@ -111,3 +118,16 @@ class TestDefectionScore:
         for hid in types:
             single = defection_score(hid, allocation, consumption, types, pricing)
             assert batch[hid] == pytest.approx(single)
+
+    def test_two_step_survives_residual_load(self):
+        """Moving the 0.7 kW block off hour 1 leaves -2.8e-17 kW there;
+        two-step pricing must read it as zero, not raise."""
+        scores = defection_vector(
+            np.array([2, 1]),
+            np.array([3, 2]),
+            np.array([0, 0]),
+            np.array([1, 1]),
+            np.array([0.1, 0.7]),
+            TwoStepPricing(6.0, 0.1, 0.5),
+        )
+        assert scores.tolist() == [0.0, 0.0]

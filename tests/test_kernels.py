@@ -27,7 +27,7 @@ from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator, expand_children
 from repro.core.flexibility import flexibility_vector
 from repro.core.intervals import HOURS_PER_DAY
-from repro.kernels.placement import place_batch, place_day
+from repro.kernels.placement import place_day
 from repro.pricing.load_profile import LoadProfile
 from repro.pricing.piecewise import TwoStepPricing
 from repro.pricing.quadratic import QuadraticPricing
@@ -154,48 +154,6 @@ class TestPlacementBitIdentity:
         assert np.array_equal(result.starts, legacy_starts)
         assert result.cost == legacy_cost
         assert result.kernel_backend == "python"
-
-    @given(
-        st.lists(
-            compiled_problems(max_n=12, ratings=_NON_BINARY_RATINGS),
-            min_size=1, max_size=4,
-        ),
-        st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_place_day_backends_agree(self, cases, seed):
-        """The two kernel entry points agree: one D-day ``place_batch``
-        over stacked columns equals D ``place_day`` calls."""
-        pricing = cases[0][1]
-        days = [compiled for compiled, _ in cases]
-        rng = np.random.default_rng(seed)
-        orders = [np.asarray(rng.permutation(len(c)), dtype=np.intp) for c in days]
-        offsets = np.cumsum([0] + [len(c) for c in days])
-        columns = [
-            np.concatenate([getattr(c, name) for c in days])
-            for name in ("win_start", "win_end", "duration", "rating")
-        ]
-        batched = np.zeros(int(offsets[-1]), dtype=np.intp)
-        place_batch(
-            offsets,
-            np.concatenate([o + lo for o, lo in zip(orders, offsets)]),
-            *columns,
-            pricing,
-            batched,
-        )
-        for compiled, order, lo in zip(days, orders, offsets):
-            starts_out = np.zeros(len(compiled), dtype=np.intp)
-            used = place_day(
-                order,
-                compiled.win_start,
-                compiled.win_end,
-                compiled.duration,
-                compiled.rating,
-                pricing,
-                starts_out,
-            )
-            assert used == "python"
-            assert np.array_equal(batched[lo:lo + len(compiled)], starts_out)
 
     def test_subclassed_pricing_takes_the_python_path(self):
         """A ``QuadraticPricing`` subclass takes the quadratic sweep."""

@@ -220,26 +220,11 @@ def _columnar_outcome_key(outcomes):
 class TestSharedMemoryTransport:
     """The shm day transport must be invisible in the results."""
 
-    def test_shm_matches_pickle_serial(self):
-        neighborhood = _columnar_neighborhood()
-        simulation = NeighborhoodSimulation(EnkiMechanism(seed=0), columnar=True)
-        via_pickle = simulation.run(
-            neighborhood, days=3, seed=SEED, workers=1, transport="pickle"
-        )
-        via_shm = simulation.run(
-            neighborhood, days=3, seed=SEED, workers=1, transport="shm"
-        )
-        assert _columnar_outcome_key(via_pickle) == _columnar_outcome_key(via_shm)
-
     def test_shm_workers4_bit_identical_and_leak_free(self):
         neighborhood = _columnar_neighborhood()
         simulation = NeighborhoodSimulation(EnkiMechanism(seed=0), columnar=True)
-        serial = simulation.run(
-            neighborhood, days=4, seed=SEED, workers=1, transport="pickle"
-        )
-        fanned = simulation.run(
-            neighborhood, days=4, seed=SEED, workers=4, transport="shm"
-        )
+        serial = simulation.run(neighborhood, days=4, seed=SEED, workers=1)
+        fanned = simulation.run(neighborhood, days=4, seed=SEED, workers=4)
         assert _columnar_outcome_key(serial) == _columnar_outcome_key(fanned)
         assert shm.active_segments() == ()
 
@@ -250,18 +235,6 @@ class TestSharedMemoryTransport:
         fanned = simulation.run(neighborhood, days=2, seed=SEED, workers=2)
         assert _columnar_outcome_key(serial) == _columnar_outcome_key(fanned)
         assert shm.active_segments() == ()
-
-    def test_shm_requires_columnar(self):
-        simulation = NeighborhoodSimulation(EnkiMechanism(seed=0))
-        with pytest.raises(ValueError, match="columnar"):
-            simulation.run(_neighborhood(), days=1, seed=SEED, transport="shm")
-
-    def test_unknown_transport_rejected(self):
-        simulation = NeighborhoodSimulation(EnkiMechanism(seed=0), columnar=True)
-        with pytest.raises(ValueError, match="transport"):
-            simulation.run(
-                _columnar_neighborhood(n=10), days=1, seed=SEED, transport="mmap"
-            )
 
 
 class TestSharedArena:
