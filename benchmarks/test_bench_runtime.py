@@ -222,68 +222,3 @@ def _transport_serialize_seconds(n, days):
         "shm_s": shm_s,
         "speedup": pickle_s / shm_s if shm_s > 0 else float("inf"),
     }
-
-
-#: ``bnb_parallel_n50`` shape: the paper's n=50 slice, 10 days, 60 s
-#: anytime budget — serial exact solver vs 4-way subtree fan-out.
-BNB_PARALLEL_N = 50
-BNB_PARALLEL_DAYS = 10
-BNB_PARALLEL_TIME_LIMIT_S = 60.0
-
-
-def test_bench_bnb_parallel_n50(bench_json):
-    """Parallel subtree B&B vs serial on the hardest paper slice.
-
-    Completed searches are bit-identical by construction; the payoff of
-    the fan-out is *provenance* — within the same 60 s anytime budget the
-    4-worker solver should prove at least one additional n=50 day optimal
-    (asserted only on hosts with 4+ visible cores; elsewhere the counts
-    are recorded so the trajectory stays honest per machine).
-    """
-    serial = BranchAndBoundAllocator(time_limit_s=BNB_PARALLEL_TIME_LIMIT_S)
-    fanout = BranchAndBoundAllocator(
-        time_limit_s=BNB_PARALLEL_TIME_LIMIT_S, workers=PARALLEL_WORKERS
-    )
-    serial_proven = 0
-    parallel_proven = 0
-    serial_s = 0.0
-    parallel_s = 0.0
-    for day in range(BNB_PARALLEL_DAYS):
-        problem = day_problem(BNB_PARALLEL_N, seed=THROUGHPUT_SEED + day)
-        s = serial.solve(problem, random.Random(0))
-        p = fanout.solve(problem, random.Random(0))
-        serial_proven += int(s.proven_optimal)
-        parallel_proven += int(p.proven_optimal)
-        serial_s += s.wall_time_s
-        parallel_s += p.wall_time_s
-        if s.proven_optimal and p.proven_optimal:
-            # Both searches completed: the merge order makes the parallel
-            # result replay the serial incumbent trajectory exactly.
-            assert s.cost == p.cost, f"day {day}: {s.cost} != {p.cost}"
-            assert s.allocation == p.allocation, f"day {day}"
-            assert s.root_bound_matched == p.root_bound_matched
-    cores = available_cores()
-    bench_json(
-        "bnb_parallel_n50",
-        n_households=BNB_PARALLEL_N,
-        days=BNB_PARALLEL_DAYS,
-        time_limit_s=BNB_PARALLEL_TIME_LIMIT_S,
-        workers=PARALLEL_WORKERS,
-        serial_proven_days=serial_proven,
-        parallel_proven_days=parallel_proven,
-        serial_seconds=serial_s,
-        parallel_seconds=parallel_s,
-        cpu_cores_visible=cores,
-        cpu_cores_logical=logical_cores(),
-    )
-    if cores >= 4:
-        # On a time-sliced (fewer-core) host a worker's wall budget covers
-        # less CPU than serial's, so provenance claims only bind here.
-        assert parallel_proven >= serial_proven, (
-            "subtree fan-out may never lose provenance vs serial"
-        )
-        assert parallel_proven >= serial_proven + 1, (
-            f"expected >= 1 additional proven day at workers="
-            f"{PARALLEL_WORKERS} on {cores} cores "
-            f"({serial_proven} -> {parallel_proven})"
-        )

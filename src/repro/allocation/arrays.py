@@ -228,49 +228,6 @@ class CompiledProblem:
             return first
         return None
 
-    def __reduce__(self):
-        """Pickle only the five defining arrays; rebuild the rest.
-
-        ``start_index``/``end_index`` are 2n views into one flat arange
-        and ``index_of`` an n-entry dict — serializing them would ship
-        several times the payload of the facts they are derived from.
-        Rebuilding through :meth:`from_arrays` keeps worker transport
-        (parallel branch and bound) proportional to n scalars.  ``items``
-        does not survive the round trip (columnar consumers never use it).
-        """
-        return (
-            _rebuild_compiled,
-            (
-                self.ids,
-                np.asarray(self.win_start),
-                np.asarray(self.win_end),
-                np.asarray(self.duration),
-                np.asarray(self.rating),
-                self.sigma,
-            ),
-        )
-
-
-def _rebuild_compiled(
-    ids: Tuple[HouseholdId, ...],
-    win_start: np.ndarray,
-    win_end: np.ndarray,
-    duration: np.ndarray,
-    rating: np.ndarray,
-    sigma: Optional[float],
-) -> CompiledProblem:
-    """Unpickle target for :meth:`CompiledProblem.__reduce__`."""
-    compiled = CompiledProblem.from_arrays(
-        ids=ids,
-        win_start=win_start,
-        win_end=win_end,
-        duration=duration,
-        rating=rating,
-        pricing=None,
-    )
-    object.__setattr__(compiled, "sigma", sigma)
-    return compiled
-
 
 _COMPILE_STATS = {"hits": 0, "misses": 0}
 

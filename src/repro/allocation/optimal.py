@@ -69,12 +69,6 @@ from .relaxation import fast_transportation_bound, transportation_solution
 #: How many nodes between time-limit checks.
 _TIME_CHECK_STRIDE = 512
 
-#: How many nodes between reads of the shared incumbent board (parallel).
-_BOARD_PROBE_STRIDE = 256
-
-#: Frontier size target per worker when sharding the tree (parallel).
-_SUBTREES_PER_WORKER = 4
-
 #: Depths at which the search may consult the transportation relaxation.
 _TRANSPORT_DEPTH = 2
 
@@ -106,19 +100,6 @@ class BranchAndBoundAllocator(Allocator):
             (0.0 proves exact optimality).  The same knob CPLEX exposes.
         seed: Randomness for the warm start only; the search itself is
             deterministic.
-        workers: Processes for parallel subtree exploration.  ``1``/
-            ``None`` searches serially; ``0`` uses every visible core.
-            The tree is expanded breadth-first into disjoint subtrees,
-            workers run the serial DFS below each against a prefix-safe
-            shared incumbent board, and the per-subtree results merge in
-            serial DFS order — allocations, costs and verdicts are
-            bit-identical to the serial search on the paper's
-            uniform-rating instances (see ``_solve_parallel``).  Requires
-            ``warm_start`` (without an incumbent the parallel path falls
-            back to serial); ``time_limit_s``/``node_limit`` budgets
-            apply per worker, so anytime (budget-cut) runs can prove
-            *more* days than serial at the same wall budget, never
-            different answers on runs that complete.
     """
 
     name = "optimal-bnb"
@@ -130,7 +111,6 @@ class BranchAndBoundAllocator(Allocator):
         warm_start: bool = True,
         gap: float = 0.0,
         seed: Optional[int] = None,
-        workers: Optional[int] = 1,
     ) -> None:
         if time_limit_s is not None and time_limit_s <= 0:
             raise ValueError(f"time limit must be positive, got {time_limit_s}")
@@ -143,21 +123,19 @@ class BranchAndBoundAllocator(Allocator):
         self.warm_start = warm_start
         self.gap = gap
         self._seed = seed
-        self.workers = workers
 
     def cache_token(self) -> str:
         """Exact solves are memoizable — for the results this admits.
 
         The token pins every constructor knob that can steer a stored
-        answer (search budgets, warm start, gap, seed fallback, worker
-        split); :meth:`result_cacheable` then narrows storage to
+        answer (search budgets, warm start, gap, seed fallback);
+        :meth:`result_cacheable` then narrows storage to
         proven-optimal results, because a deadline-truncated incumbent is
         a function of the wall clock, not of the instance.
         """
         return (
             f"optimal-bnb:tl={self.time_limit_s}:nl={self.node_limit}"
             f":ws={self.warm_start}:gap={self.gap}:seed={self._seed}"
-            f":w={self.workers}"
         )
 
     def result_cacheable(self, result) -> bool:
@@ -297,12 +275,6 @@ class BranchAndBoundAllocator(Allocator):
                 )
 
         state.root_lower_bound = root_lower_bound
-        if self.workers not in (None, 1):
-            parallel = self._solve_parallel(
-                problem, items, compiled, state, started_at, root_lower_bound
-            )
-            if parallel is not None:
-                return parallel
         proven = True
         try:
             state.search([0.0] * HOURS_PER_DAY, 0.0, 0, [0] * n)
@@ -328,147 +300,6 @@ class BranchAndBoundAllocator(Allocator):
             kernel_backend=active_backend(),
         )
 
-    def _solve_parallel(
-        self,
-        problem: AllocationProblem,
-        items: List[AllocationItem],
-        compiled: CompiledProblem,
-        state: "_SearchState",
-        started_at: float,
-        root_lower_bound: Optional[float],
-    ) -> Optional[AllocationResult]:
-        """Deterministic parallel subtree search; ``None`` = run serially.
-
-        The tree is expanded breadth-first (replicating the serial child
-        ordering and warm-start pruning) into disjoint subtrees at one
-        depth; contiguous groups of subtrees — in serial DFS order — go
-        to worker processes, which run the unchanged serial DFS below
-        each root.  Two mechanisms keep the answer bit-identical to
-        serial on uniform-rating instances:
-
-        * **Prefix-safe shared bound** — a worker on subtree ``j`` may
-          prune with incumbents published for subtrees ``< j`` only
-          (``board[:j]``).  Any such value is a completion cost from an
-          earlier subtree, hence >= the serial incumbent at every moment
-          serial spends inside ``j`` (cost quantization makes this
-          exact), so every worker visits a superset of serial's nodes in
-          serial order.  A bound from a *later* subtree could prune the
-          first-in-DFS-order optimum achiever and change the allocation
-          — that is why the board read is prefix-restricted.
-        * **Deterministic merge** — each worker reports its final
-          (cost, starts) per improved subtree; records fold in subtree
-          order under the serial strict-improvement rule, which replays
-          serial's incumbent trajectory: completions serial pruned are a
-          full cost quantum above its incumbent at prune time, so they
-          lose every merge comparison to the record serial would have
-          produced.
-
-        Non-uniform ratings have no cost quantum, so equal-cost
-        allocations may differ from serial there (costs still agree to
-        float precision); the paper's instances are uniform-rating.
-        """
-        from ..sim.parallel import map_tasks, resolve_workers
-        from ..sim.shm import SharedArena
-
-        n_workers = resolve_workers(self.workers)
-        if n_workers <= 1 or state.incumbent is None:
-            return None
-        n = len(items)
-        frontier, depth, expand_nodes = _expand_frontier(
-            state, target=_SUBTREES_PER_WORKER * n_workers
-        )
-
-        merged_cost = state.incumbent_cost
-        merged = list(state.incumbent)
-        total_nodes = expand_nodes
-        proven = True
-        matched = False
-        if not frontier:
-            # Every node at the cut depth was pruned against the warm
-            # start: the incumbent is optimal (and proven by the bounds).
-            pass
-        elif depth >= n:
-            # The whole tree fit inside the expansion: frontier entries
-            # are complete solutions in serial DFS order; fold directly.
-            for prefix, cost in frontier:
-                if cost < merged_cost - 1e-12:
-                    merged_cost = cost
-                    merged = list(prefix)
-                    if (
-                        root_lower_bound is not None
-                        and root_lower_bound > cost - state.quantum + 1e-6
-                    ):
-                        matched = True
-                        break
-        else:
-            remaining_s: Optional[float] = None
-            if state.deadline is not None:
-                remaining_s = max(state.deadline - time.perf_counter(), 0.01)
-            group_count = min(n_workers, len(frontier))
-            groups = [
-                tuple(
-                    (at, prefix, cost)
-                    for at, (prefix, cost) in list(enumerate(frontier))[
-                        len(frontier) * g // group_count:
-                        len(frontier) * (g + 1) // group_count
-                    ]
-                )
-                for g in range(group_count)
-            ]
-            arena = SharedArena(prefix="enki-bnb")
-            try:
-                board_name = None
-                if len(frontier) > 1:
-                    board_name = arena.share_floats(len(frontier), float("inf"))
-                payloads = [
-                    (
-                        compiled,
-                        self.gap,
-                        depth,
-                        group,
-                        tuple(state.incumbent),
-                        state.incumbent_cost,
-                        remaining_s,
-                        self.node_limit,
-                        root_lower_bound,
-                        board_name,
-                        len(frontier),
-                    )
-                    for group in groups
-                ]
-                outs = map_tasks(
-                    _solve_subtree_batch, payloads, workers=group_count
-                )
-            finally:
-                arena.dispose()
-            records: List[Tuple[int, float, Tuple[int, ...]]] = []
-            for batch_records, batch_nodes, batch_proven, batch_matched in outs:
-                total_nodes += batch_nodes
-                proven = proven and batch_proven
-                matched = matched or batch_matched
-                records.extend(batch_records)
-            records.sort(key=lambda record: record[0])
-            for _, cost, starts in records:
-                if cost < merged_cost - 1e-12:
-                    merged_cost = cost
-                    merged = list(starts)
-
-        allocation: AllocationMap = {
-            item.household_id: Interval(start, start + item.duration)
-            for item, start in zip(items, merged)
-        }
-        return self._finish(
-            problem,
-            allocation,
-            started_at,
-            proven_optimal=proven,
-            nodes_explored=max(total_nodes, 1),
-            lower_bound=merged_cost if proven else root_lower_bound,
-            root_bound_matched=matched,
-            kernel_backend=active_backend(),
-        )
-
-
 def expand_children(
     loads_arr: np.ndarray,
     starts_idx: np.ndarray,
@@ -482,156 +313,11 @@ def expand_children(
     Rebuilds the 24-hour load prefix sum into ``prefix[1:]`` (entry 0
     stays 0), evaluates each begin candidate's exact marginal cost
     through the begin/end index vectors, and stable-argsorts the
-    candidates (ties by earlier start).  Both the serial DFS and the
-    parallel frontier expansion run exactly this step.
+    candidates (ties by earlier start).
     """
     np.cumsum(loads_arr, out=prefix[1:])
     deltas = two_sigma_r * (prefix[ends_idx] - prefix[starts_idx]) + self_term
     return deltas, np.argsort(deltas, kind="stable")
-
-
-def _expand_frontier(
-    state: "_SearchState", target: int
-) -> Tuple[List[Tuple[Tuple[int, ...], float]], int, int]:
-    """Expand the root breadth-first into >= ``target`` disjoint subtrees.
-
-    Level-synchronized replication of the serial search's child
-    enumeration (same deltas, same stable argsort, same symmetry floor,
-    same warm-start pruning and sibling cutoff), so the returned frontier
-    lists the depth-``d`` subtree roots in exactly the order serial DFS
-    first visits them — a superset of the nodes serial would visit,
-    because expansion prunes only against the warm start, never against
-    improvements found deeper in the tree.
-
-    Returns ``(frontier, depth, nodes)`` where frontier entries are
-    ``(starts_prefix, partial_cost)``.
-    """
-    n = state._n
-    compiled = state.compiled
-    frontier: List[Tuple[Tuple[int, ...], float]] = [((), 0.0)]
-    nodes = 0
-    depth = 0
-    threshold = state._prune_threshold()
-    while frontier and len(frontier) < target and depth < n:
-        next_level: List[Tuple[Tuple[int, ...], float]] = []
-        for starts_prefix, cost in frontier:
-            nodes += 1
-            loads = [0.0] * HOURS_PER_DAY
-            for j, start in enumerate(starts_prefix):
-                r = state._rating[j]
-                for h in range(start, start + state._duration[j]):
-                    loads[h] += r
-            loads_arr = np.array(loads)
-            if state._bound(loads, loads_arr, cost, depth) >= threshold:
-                continue
-            rating = state._rating[depth]
-            duration = state._duration[depth]
-            win_start = state._win_start[depth]
-            min_start = win_start
-            if state.same_as_prev[depth]:
-                prev = starts_prefix[depth - 1]
-                if prev > min_start:
-                    min_start = prev
-            starts_idx, ends_idx = compiled.begin_candidates(
-                depth, min_start - win_start
-            )
-            self_term = state.sigma * rating * rating * duration
-            two_sigma_r = 2.0 * state.sigma * rating
-            deltas, order = expand_children(
-                loads_arr, starts_idx, ends_idx, two_sigma_r, self_term,
-                state._prefix,
-            )
-            deltas_list = deltas.tolist()
-            for child in order.tolist():
-                child_cost = cost + deltas_list[child]
-                if child_cost >= threshold:
-                    break
-                next_level.append(
-                    (starts_prefix + (min_start + child,), child_cost)
-                )
-        frontier = next_level
-        depth += 1
-    return frontier, depth, nodes
-
-
-def _solve_subtree_batch(payload) -> Tuple[list, int, bool, bool]:
-    """Worker: run the serial DFS below each assigned subtree root.
-
-    Module-level (picklable) for :func:`repro.sim.parallel.map_tasks`.
-    The payload ships the compact :class:`CompiledProblem` (five arrays
-    via its ``__reduce__``), the warm-start incumbent, the remaining
-    budgets and the shared bound board's segment name.  Subtrees run in
-    serial DFS order; before each, the worker refreshes its prune base
-    from ``board[:j]`` (earlier subtrees only — see ``_solve_parallel``)
-    and publishes every improvement to its own slot.
-
-    Returns ``(records, nodes, proven, matched)`` where ``records`` holds
-    one ``(subtree_index, cost, starts)`` per subtree that improved on
-    the warm start.
-    """
-    (
-        compiled,
-        gap,
-        depth,
-        group,
-        warm_starts,
-        warm_cost,
-        remaining_s,
-        node_limit,
-        root_lower_bound,
-        board_name,
-        board_len,
-    ) = payload
-    deadline = (
-        time.perf_counter() + remaining_s if remaining_s is not None else None
-    )
-    suffix = SuffixArrays.from_compiled(compiled)
-    state = _SearchState(
-        compiled=compiled,
-        suffix=suffix,
-        sigma=compiled.sigma,
-        uniform_rating=compiled.uniform_rating(),
-        incumbent=list(warm_starts),
-        incumbent_cost=warm_cost,
-        gap=gap,
-        deadline=deadline,
-        node_limit=node_limit,
-    )
-    state.root_lower_bound = root_lower_bound
-    if board_name is not None:
-        from ..sim.shm import attach_floats
-
-        state.board = attach_floats(board_name, board_len)
-    n = state._n
-    records: List[Tuple[int, float, Tuple[int, ...]]] = []
-    proven = True
-    matched = False
-    for subtree_index, starts_prefix, cost in group:
-        state.board_slot = subtree_index
-        state.board_upto = subtree_index
-        before = state.incumbent_cost
-        loads = [0.0] * HOURS_PER_DAY
-        starts = [0] * n
-        for j, start in enumerate(starts_prefix):
-            starts[j] = start
-            r = state._rating[j]
-            for h in range(start, start + state._duration[j]):
-                loads[h] += r
-        try:
-            state.search(loads, cost, depth, starts)
-        except SearchBudgetExceeded:
-            proven = False
-        except IncumbentMatchesBound:
-            # Nothing anywhere can improve by a full quantum: record and
-            # stop — the remaining subtrees cannot change the answer.
-            matched = True
-        if state.incumbent_cost < before - 1e-12:
-            records.append(
-                (subtree_index, state.incumbent_cost, tuple(state.incumbent))
-            )
-        if matched or not proven:
-            break
-    return records, state.nodes, proven, matched
 
 
 class _SearchState:
@@ -667,15 +353,6 @@ class _SearchState:
         self.node_limit = node_limit
         self.nodes = 0
         self.root_lower_bound: Optional[float] = None
-        # Shared-bound plumbing for parallel subtree workers: a float64
-        # view of the cross-process board (one slot per subtree), the slot
-        # this state publishes to, and how much of the board's *prefix*
-        # it may prune with (earlier subtrees only — prefix safety is what
-        # keeps parallel answers bit-identical to serial).
-        self.board: Optional[np.ndarray] = None
-        self.board_slot = 0
-        self.board_upto = 0
-        self.shared_bound = float("inf")
         # Transposition table: the best completion from a node depends only
         # on (depth, loads over the hours the remaining windows can touch),
         # so arriving at a seen state at equal-or-higher cost is futile.
@@ -765,14 +442,8 @@ class _SearchState:
         integer times r**2).  An improvement therefore means improving by a
         full quantum, which lets the search prune the large plateaus of
         cost-equivalent schedules these instances exhibit.
-
-        Parallel workers additionally prune with the best bound published
-        by *earlier* subtrees (``shared_bound``); serial searches never
-        set it, so the threshold is unchanged there.
         """
         base = self.incumbent_cost
-        if self.shared_bound < base:
-            base = self.shared_bound
         slack = max(self.quantum - 1e-6, base * self.gap, _EPS)
         return base - slack
 
@@ -785,16 +456,6 @@ class _SearchState:
             and time.perf_counter() > self.deadline
         ):
             raise SearchBudgetExceeded
-        if (
-            self.board is not None
-            and self.board_upto
-            and self.nodes % _BOARD_PROBE_STRIDE == 0
-        ):
-            # Aligned 8-byte loads are atomic on every supported platform;
-            # a stale read only delays pruning, never corrupts it.
-            value = float(self.board[: self.board_upto].min())
-            if value < self.shared_bound:
-                self.shared_bound = value
 
     def _transport_bound(self, loads: List[float], loads_arr: np.ndarray,
                          depth: int) -> float:
@@ -935,8 +596,6 @@ class _SearchState:
             if cost < self.incumbent_cost - 1e-12:
                 self.incumbent_cost = cost
                 self.incumbent = list(starts)
-                if self.board is not None and cost < self.board[self.board_slot]:
-                    self.board[self.board_slot] = cost
                 if (
                     self.root_lower_bound is not None
                     and self.root_lower_bound > cost - self.quantum + 1e-6

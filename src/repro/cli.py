@@ -99,16 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--bnb-workers",
-        type=_workers_arg,
-        default=None,
-        help=(
-            "worker processes for the exact solver's subtree fan-out "
-            "(fig4/fig5/fig6; 1 = serial, 0 = all cores); completed runs "
-            "are bit-identical to serial"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint",
         type=str,
         default=None,
@@ -232,8 +222,6 @@ def _overrides_for(experiment_id: str, args: argparse.Namespace) -> dict:
             overrides["resume"] = args.resume
         if args.columnar:
             overrides["columnar"] = True
-        if args.bnb_workers is not None:
-            overrides["bnb_workers"] = args.bnb_workers
         cache = _alloc_cache_for(args)
         if cache is not None and args.columnar:
             overrides["alloc_cache"] = cache

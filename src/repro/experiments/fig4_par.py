@@ -88,7 +88,6 @@ def run(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     columnar: bool = False,
-    bnb_workers: Optional[int] = 1,
     alloc_cache: Optional["AllocationCache"] = None,
 ) -> Fig4Result:
     """Regenerate Figure 4 from scratch."""
@@ -102,7 +101,6 @@ def run(
             checkpoint_path=checkpoint_path,
             resume=resume,
             columnar=columnar,
-            bnb_workers=bnb_workers,
             alloc_cache=alloc_cache,
         )
     )

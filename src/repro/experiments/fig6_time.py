@@ -89,7 +89,6 @@ def run(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     columnar: bool = False,
-    bnb_workers: Optional[int] = 1,
     alloc_cache: Optional["AllocationCache"] = None,
 ) -> Fig6Result:
     """Regenerate Figure 6 from scratch.
@@ -110,7 +109,6 @@ def run(
             checkpoint_path=checkpoint_path,
             resume=resume,
             columnar=columnar,
-            bnb_workers=bnb_workers,
             alloc_cache=alloc_cache,
         )
     )

@@ -54,7 +54,6 @@ def run_social_welfare_study(
     checkpoint_path: Optional[str] = None,
     resume: bool = False,
     columnar: bool = False,
-    bnb_workers: Optional[int] = 1,
     alloc_cache: Optional["AllocationCache"] = None,
 ) -> SocialWelfareResult:
     """Run the Figures 4-6 study once.
@@ -77,10 +76,6 @@ def run_social_welfare_study(
         columnar: Run each day on the structure-of-arrays fast path (its
             own sampling substream; required for very large populations —
             see ``docs/performance.md``).
-        bnb_workers: Worker processes for the exact solver's subtree
-            fan-out (``1`` = serial, ``0`` = all cores). Completed runs
-            stay bit-identical to serial; anytime runs may prove *more*
-            days within the same wall budget.
         alloc_cache: Columnar-only: a digest-keyed
             :class:`~repro.allocation.cache.AllocationCache`; repeated
             identical day instances replay stored allocations
@@ -94,9 +89,7 @@ def run_social_welfare_study(
     study = SocialWelfareStudy(
         allocators=[
             GreedyFlexibilityAllocator(),
-            BranchAndBoundAllocator(
-                time_limit_s=optimal_time_limit_s, workers=bnb_workers
-            ),
+            BranchAndBoundAllocator(time_limit_s=optimal_time_limit_s),
         ],
         columnar=columnar,
     )

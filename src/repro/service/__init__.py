@@ -8,6 +8,7 @@ tier when sick, and journal every settlement so a killed service resumes
 byte-identically.  See ``docs/robustness.md`` ("Service layer").
 """
 
+from ..sim.parallel import ShardCompletion, ShardSupervisor
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from .city import sample_shard, serve_city, shard_sizes, stream_arrival_order
 from .queue import BoundedIngestQueue
@@ -27,7 +28,6 @@ from .stream import (
     StreamStats,
     parse_canonical_ids,
 )
-from .supervisor import ShardCompletion, ShardSupervisor
 
 __all__ = [
     "BoundedIngestQueue",

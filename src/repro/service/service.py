@@ -7,7 +7,7 @@ mechanism into something a city can feed continuously:
   BoundedIngestQueue` — a saturated service pushes back with
   :class:`~repro.robustness.errors.ServiceOverloadError` instead of
   buffering without bound.
-* **Settlement** runs on a :class:`~repro.service.supervisor.
+* **Settlement** runs on a :class:`~repro.sim.parallel.
   ShardSupervisor` pool (shards travel by PR 6's shared-memory day
   transport), with deadlines, jittered retries and pool replacement.
 * **Degradation** is per-shard: a :class:`~repro.service.breaker.
@@ -45,7 +45,12 @@ from ..robustness.checkpoint import CheckpointStore
 from ..robustness.errors import CheckpointError, ServiceInterrupted
 from ..robustness.fallback import FallbackAllocator
 from ..robustness.quarantine import Quarantine
-from ..sim.parallel import DEFAULT_BACKOFF_S, DEFAULT_JITTER
+from ..sim.parallel import (
+    DEFAULT_BACKOFF_S,
+    DEFAULT_JITTER,
+    ShardCompletion,
+    ShardSupervisor,
+)
 from ..sim.shm import SharedArena
 from .breaker import CircuitBreaker
 from .queue import BoundedIngestQueue
@@ -56,7 +61,6 @@ from .shard import (
     settle_shard,
 )
 from .stream import RawReport, ReportChunk, StreamIngestor, StreamStats
-from .supervisor import ShardCompletion, ShardSupervisor
 
 #: Journal key of the run-identity guard record.
 META_KEY = "service-meta"

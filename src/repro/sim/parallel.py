@@ -4,15 +4,25 @@ Every Section VI/VII driver is a loop over *independent* simulated days:
 each day samples a fresh population (or replays fixed households) from its
 own keyed RNG substream (:func:`repro.sim.rng.make_day_rngs`), so day
 instances share no state and can run on any worker in any order.  This
-module provides the one primitive they all use:
+module owns the runtime's one process pool and the two ways to drive it:
+
+:class:`ShardSupervisor` — an incremental submit/step loop over one owned
+:class:`~concurrent.futures.ProcessPoolExecutor`.  It retries failed
+attempts with jittered exponential backoff (:func:`backoff_delay`), kills
+and replaces the pool on ``BrokenProcessPool`` (a SIGKILLed worker)
+without losing any in-flight entry, and enforces a per-entry deadline:
+breachers burn an attempt, innocent bystanders are resubmitted without
+penalty.  Every terminal outcome is a :class:`ShardCompletion` — value or
+cause, plus the attempt count — and policy is left to the caller.  The
+shard service (:mod:`repro.service`) surfaces a shard that exhausts its
+retries so it can route it to the degraded tier.
 
 :func:`map_tasks` — an order-preserving map over payloads that runs inline
 for ``workers=1`` (the default everywhere, leaving existing behaviour and
-seeds untouched) and fans out across a :class:`~concurrent.futures.
-ProcessPoolExecutor` for ``workers>1``.  Because results are keyed by
-payload index and each payload's computation is a pure function of the
-payload (RNG substreams included), parallel output is bit-identical to
-serial output — only wall-clock time changes.
+seeds untouched) and otherwise hands its payloads to a supervisor.
+Because results are keyed by payload index and each payload's computation
+is a pure function of the payload (RNG substreams included), parallel
+output is bit-identical to serial output — only wall-clock time changes.
 
 The parallel path ships payloads as contiguous chunks, at most
 :data:`CHUNKS_PER_WORKER` per worker, so tiny days pay the pickling and
@@ -22,17 +32,20 @@ attributes every fault to one payload:
 
 * **Crash recovery** — a payload that raises inside a chunk is recorded
   and the rest of its chunk still runs; a worker that dies
-  (``BrokenProcessPool``) leaves its chunk unfinished.  Each failed or
-  unfinished payload is retried alone in a fresh pool with exponential
-  backoff, and after ``retries`` attempts (counted per payload) re-run
-  inline in the parent.  Purity makes every re-run bit-identical, and a
-  payload whose function *deterministically* raises still surfaces its
-  original exception from the inline run — same semantics as serial mode.
-* **Stall detection** — with ``timeout_s`` set, a wait in which *no*
-  chunk completes within ``timeout_s`` per payload of the largest chunk in
-  flight is declared hung: the worker processes are killed and the
-  unfinished payloads recycled through the retry path.  Set it
-  comfortably above the slowest expected single task.
+  (``BrokenProcessPool``) leaves every chunk in flight unfinished.  Each
+  failed or unfinished payload is retried alone, one pool per retry
+  round, with exponential backoff, and after ``retries`` attempts
+  (counted per payload) re-run inline in the parent.  Purity makes every
+  re-run bit-identical, and a payload whose function *deterministically*
+  raises still surfaces its original exception from the inline run —
+  same semantics as serial mode.
+* **Stall detection** — with ``timeout_s`` set, each chunk gets a
+  deadline of ``timeout_s`` per payload of the round's largest chunk,
+  counted from when a worker could start it.  A chunk that breaches it is
+  declared hung: the worker processes are killed, the stalled chunk's
+  payloads are charged and retried, and the chunks still waiting are
+  resubmitted without charge.  Set it comfortably above the slowest
+  expected single task.
 * **Streaming results** — ``on_result(index, value)`` fires for each
   payload the first time it completes, when its chunk returns, enabling
   incremental checkpointing; ``on_failure(failure)`` reports every
@@ -50,9 +63,12 @@ import logging
 import os
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..robustness.errors import WorkerFailure
 
@@ -260,71 +276,324 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _pool_round(
-    fn: Callable[[_P], _R],
-    payloads: Sequence[_P],
-    units: Sequence[Tuple[int, ...]],
-    n_workers: int,
-    timeout_s: Optional[float],
-    results: Dict[int, _R],
-    on_result: Optional[Callable[[int, _R], None]],
-) -> List[Tuple[int, str]]:
-    """One attempt at the unresolved chunks; returns the failed payloads."""
-    failures: List[Tuple[int, str]] = []
-    pool = ProcessPoolExecutor(max_workers=min(n_workers, len(units)))
-    killed = False
-    try:
-        futures = {
-            pool.submit(_call_chunk, fn, [payloads[i] for i in unit]): unit
-            for unit in units
-        }
-        not_done = set(futures)
-        fatal: Optional[str] = None
-        while not_done and fatal is None:
-            # timeout_s budgets one payload; a chunk runs its payloads in turn.
-            window = None if timeout_s is None else timeout_s * max(
-                len(futures[future]) for future in not_done
-            )
-            done, not_done = wait(
-                not_done, timeout=window, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                fatal = (
-                    f"stalled: no task completed within {window}s "
-                    "(presumed hung worker)"
+#: Why every entry in flight on a broken pool is charged.
+_BROKEN = "process pool broke (worker died)"
+
+
+@dataclass
+class ShardCompletion:
+    """One shard's terminal outcome at the supervisor level.
+
+    ``value`` is the worker's return on success and ``None`` on failure,
+    in which case ``cause`` says why the *last* attempt failed.
+    ``attempts`` counts every attempt made, successful one included.
+    """
+
+    key: int
+    value: Optional[Any]
+    attempts: int
+    cause: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.cause == ""
+
+
+@dataclass
+class _Entry:
+    """Book-keeping for one submitted shard.
+
+    ``started_at`` is ``None`` while the entry waits for a worker.
+    """
+
+    key: int
+    payload: Any
+    attempt: int = 1
+    started_at: Optional[float] = None
+    ready_at: float = 0.0
+
+
+class ShardSupervisor:
+    """Supervises shard attempts on an owned worker pool.
+
+    Args:
+        fn: Module-level (picklable) worker function of one payload.
+        workers: Pool size (see :func:`resolve_workers`); ``1`` runs
+            inline.
+        deadline_s: Per-shard wall-clock deadline, counted from when a
+            worker could start the shard.  In pool mode a breach kills
+            the worker processes (a hung solve cannot be preempted
+            politely) and costs the breaching shard one attempt; inline
+            it is checked after the call returns.  ``None`` disables it.
+        retries: Re-attempts after the first failure before the shard is
+            surfaced as failed.
+        backoff_s / jitter: Retry pacing, shared with :func:`map_tasks`.
+    """
+
+    def __init__(
+        self,
+        fn: Callable[[Any], Any],
+        workers: Optional[int] = 1,
+        deadline_s: Optional[float] = None,
+        retries: int = DEFAULT_RETRIES,
+        backoff_s: float = DEFAULT_BACKOFF_S,
+        jitter: float = DEFAULT_JITTER,
+    ) -> None:
+        if retries < 0:
+            raise ValueError(f"retries cannot be negative, got {retries}")
+        if deadline_s is not None and deadline_s <= 0:
+            raise ValueError(f"deadline must be positive, got {deadline_s}")
+        self.fn = fn
+        self.workers = resolve_workers(workers)
+        self.deadline_s = deadline_s
+        self.retries = retries
+        self.backoff_s = backoff_s
+        self.jitter = jitter
+        self.pool_replacements = 0
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._inflight: Dict[Future, _Entry] = {}
+        self._backlog: List[_Entry] = []
+        self._completions: List[ShardCompletion] = []
+
+    @property
+    def load(self) -> int:
+        """Shards the supervisor currently owns (in flight or backing off)."""
+        return len(self._inflight) + len(self._backlog)
+
+    @property
+    def idle(self) -> bool:
+        return self.load == 0
+
+    # ------------------------------------------------------------ pool
+
+    def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self._pool
+
+    def _replace_pool(self) -> None:
+        """Kill the current pool's processes and forget it (lazily rebuilt)."""
+        if self._pool is not None:
+            _kill_pool(self._pool)
+            self._pool = None
+            self.pool_replacements += 1
+
+    def close(self) -> None:
+        """Shut the pool down; in-flight shards are abandoned.
+
+        A pool with work still running is killed: shutting it down would
+        leave that work running, and the interpreter waits for it at exit
+        — forever, for a hung solve.  An idle pool is joined, so its
+        workers are gone (and their memory returned) when this returns.
+        """
+        if self._pool is not None:
+            if any(not future.done() for future in self._inflight):
+                _kill_pool(self._pool)
+            else:
+                self._pool.shutdown(wait=True)
+            self._pool = None
+
+    def __enter__(self) -> "ShardSupervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # ------------------------------------------------------ submission
+
+    def submit(self, key: int, payload: Any) -> None:
+        """Accept a shard for settlement (first attempt dispatches now)."""
+        entry = _Entry(key=key, payload=payload)
+        if self.workers <= 1:
+            self._run_inline(entry)
+        else:
+            self._dispatch(entry)
+
+    def _dispatch(self, entry: _Entry) -> None:
+        entry.started_at = None
+        while True:
+            try:
+                future = self._ensure_pool().submit(self.fn, entry.payload)
+            except BrokenProcessPool:
+                # A worker died and the executor noticed before we did:
+                # submit() itself refuses.  Charge the shards that were in
+                # flight on the broken pool (their futures are dead),
+                # rebuild, and dispatch this entry — which was never
+                # accepted, so it is not charged — on the fresh pool.
+                survivors = list(self._inflight.values())
+                self._inflight.clear()
+                self._replace_pool()
+                for other in survivors:
+                    self._fail_attempt(other, _BROKEN)
+                continue
+            break
+        self._inflight[future] = entry
+        self._start_clocks()
+
+    def _start_clocks(self) -> None:
+        """Start the deadline clock of every shard a worker may be running.
+
+        The pool runs shards in dispatch order, ``workers`` at a time, so
+        only the oldest ``workers`` shards in flight can have started; a
+        later shard's clock starts when one of them leaves.  A shard
+        queued behind busy workers therefore never breaches for waiting.
+        """
+        now = time.monotonic()
+        for entry in islice(self._inflight.values(), self.workers):
+            if entry.started_at is None:
+                entry.started_at = now
+
+    def _run_inline(self, entry: _Entry) -> None:
+        """Serial mode: the whole retry loop, synchronously."""
+        while True:
+            started_at = time.monotonic()
+            cause = ""
+            value = None
+            try:
+                value = self.fn(entry.payload)
+            except Exception as exc:
+                cause = _describe(exc)
+            elapsed = time.monotonic() - started_at
+            if (
+                cause == ""
+                and self.deadline_s is not None
+                and elapsed > self.deadline_s
+            ):
+                # Inline there is no way to preempt, so the deadline is
+                # enforced after the fact — the attempt still burns.
+                cause = f"deadline exceeded ({elapsed:.3f}s > {self.deadline_s}s)"
+            if cause == "":
+                self._completions.append(
+                    ShardCompletion(entry.key, value, entry.attempt)
                 )
-                break
-            for future in done:
-                unit = futures[future]
-                try:
-                    outcomes = future.result()
-                except BrokenProcessPool as exc:
-                    fatal = f"process pool broke: {exc!r}"
-                    break
-                except Exception as exc:
-                    failures.extend((index, _describe(exc)) for index in unit)
-                    continue
-                for index, (ok, value) in zip(unit, outcomes):
-                    if not ok:
-                        failures.append((index, value))
-                        continue
-                    results[index] = value
-                    if on_result is not None:
-                        on_result(index, value)
-        if fatal is not None:
-            failed = {index for index, _ in failures}
-            failures.extend(
-                (index, fatal)
-                for unit in futures.values()
-                for index in unit
-                if index not in results and index not in failed
+                return
+            if entry.attempt > self.retries:
+                self._completions.append(
+                    ShardCompletion(entry.key, None, entry.attempt, cause)
+                )
+                return
+            time.sleep(backoff_delay(entry.attempt, self.backoff_s, self.jitter))
+            entry.attempt += 1
+
+    # ------------------------------------------------------- main loop
+
+    def step(self, block: bool = True) -> List[ShardCompletion]:
+        """Advance the supervisor and return newly-terminal shards.
+
+        Dispatches backed-off retries whose delay has elapsed, waits for
+        (``block=True``) or polls (``block=False``) the pool, applies
+        deadline and crash handling, and drains the completion buffer.
+        """
+        now = time.monotonic()
+        for entry in [e for e in self._backlog if e.ready_at <= now]:
+            self._backlog.remove(entry)
+            self._dispatch(entry)
+        if self._inflight:
+            self._await_pool(block)
+        elif self._backlog and block:
+            # Nothing in flight: sleep out the nearest backoff so a
+            # blocking step always makes progress.
+            delay = min(e.ready_at for e in self._backlog) - now
+            if delay > 0:
+                time.sleep(delay)
+            return self.step(block=False)
+        completions, self._completions = self._completions, []
+        return completions
+
+    def _await_pool(self, block: bool) -> None:
+        timeout: Optional[float] = 0.0
+        if block:
+            timeout = None
+            if self.deadline_s is not None:
+                nearest = min(
+                    e.started_at
+                    for e in self._inflight.values()
+                    if e.started_at is not None
+                )
+                timeout = max(0.0, nearest + self.deadline_s - time.monotonic())
+            if self._backlog:
+                ready = min(e.ready_at for e in self._backlog) - time.monotonic()
+                ready = max(0.0, ready)
+                timeout = ready if timeout is None else min(timeout, ready)
+        done, _ = wait(self._inflight, timeout=timeout, return_when=FIRST_COMPLETED)
+        if self._collect(done):
+            # The pool is unusable: every other in-flight shard failed
+            # with it.  Replace the pool and charge them all one attempt
+            # (there is no telling whose worker died).
+            survivors = list(self._inflight.values())
+            self._inflight.clear()
+            self._replace_pool()
+            for entry in survivors:
+                self._fail_attempt(entry, _BROKEN)
+            return
+        self._start_clocks()
+        self._check_deadlines()
+
+    def _collect(self, futures) -> bool:
+        """Settle finished futures; ``True`` if one saw the pool break."""
+        broken = False
+        for future in futures:
+            entry = self._inflight.pop(future)
+            try:
+                value = future.result()
+            except BrokenProcessPool:
+                broken = True
+                self._fail_attempt(entry, _BROKEN)
+            except Exception as exc:
+                self._fail_attempt(entry, _describe(exc))
+            else:
+                self._completions.append(
+                    ShardCompletion(entry.key, value, entry.attempt)
+                )
+        return broken
+
+    def _check_deadlines(self) -> None:
+        if self.deadline_s is None or not self._inflight:
+            return
+        now = time.monotonic()
+        breached = {
+            future
+            for future, entry in self._inflight.items()
+            if entry.started_at is not None
+            and now - entry.started_at > self.deadline_s
+            and not future.done()
+        }
+        if not breached:
+            return
+        # Results that arrived since the wait are kept, not thrown away
+        # with the pool.
+        self._collect([f for f in self._inflight if f not in breached and f.done()])
+        # A hung worker cannot be preempted politely: kill the pool's
+        # processes.  Breachers burn an attempt; bystanders caught in the
+        # same pool are resubmitted without penalty.
+        breachers = [self._inflight[future] for future in breached]
+        bystanders = [
+            entry
+            for future, entry in self._inflight.items()
+            if future not in breached
+        ]
+        self._inflight.clear()
+        self._replace_pool()
+        for entry in breachers:
+            self._fail_attempt(
+                entry,
+                f"deadline exceeded: stalled with no result within "
+                f"{self.deadline_s}s (presumed hung worker)",
             )
-            _kill_pool(pool)
-            killed = True
-    finally:
-        if not killed:
-            pool.shutdown(wait=True)
-    return failures
+        for entry in bystanders:
+            self._dispatch(entry)
+
+    def _fail_attempt(self, entry: _Entry, cause: str) -> None:
+        if entry.attempt > self.retries:
+            self._completions.append(
+                ShardCompletion(entry.key, None, entry.attempt, cause)
+            )
+            return
+        entry.ready_at = time.monotonic() + backoff_delay(
+            entry.attempt, self.backoff_s, self.jitter
+        )
+        entry.attempt += 1
+        self._backlog.append(entry)
 
 
 def map_tasks(
@@ -347,11 +616,12 @@ def map_tasks(
             inline in this process with zero overhead.  More workers split
             the payloads into ``min(len(payloads), 4 * workers)``
             contiguous chunks of near-equal size.
-        timeout_s: Per-payload stall detector for the parallel path: if no
-            chunk completes within this long times the payload count of
-            the largest chunk in flight, the pool is presumed hung, its
-            processes are killed and the unfinished payloads retried.
-            ``None`` disables the detector.
+        timeout_s: Per-payload stall detector for the parallel path: a
+            chunk that has not returned this long times the payload count
+            of the round's largest chunk after a worker could start it is
+            presumed hung; the pool's processes are killed, the chunk's
+            payloads are retried and the chunks still waiting are
+            resubmitted without charge.  ``None`` disables the detector.
         retries: How many pool re-attempts a failed payload gets (with
             exponential backoff) before being re-run inline in the parent.
         backoff_s: Base of the exponential backoff between retry rounds.
@@ -402,10 +672,35 @@ def map_tasks(
     ]
     results: Dict[int, _R] = {}
     attempts = [0] * n
+    run_chunk = partial(_call_chunk, fn)
     while pending:
-        failures = _pool_round(
-            fn, payloads, pending, n_workers, timeout_s, results, on_result
+        # timeout_s budgets one payload; a chunk runs its payloads in turn.
+        deadline_s = (
+            None if timeout_s is None else timeout_s * max(map(len, pending))
         )
+        failures: List[Tuple[int, str]] = []
+        with ShardSupervisor(
+            run_chunk, n_workers, deadline_s=deadline_s, retries=0
+        ) as supervisor:
+            for key, unit in enumerate(pending):
+                supervisor.submit(key, [payloads[i] for i in unit])
+            settled = 0
+            while settled < len(pending):
+                for completion in supervisor.step():
+                    settled += 1
+                    unit = pending[completion.key]
+                    if not completion.ok:
+                        # Stalled, crashed or unpicklable: nothing in the
+                        # chunk came back.
+                        failures.extend((index, completion.cause) for index in unit)
+                        continue
+                    for index, (ok, value) in zip(unit, completion.value):
+                        if not ok:
+                            failures.append((index, value))
+                            continue
+                        results[index] = value
+                        if on_result is not None:
+                            on_result(index, value)
         pending = []
         round_attempts = 0
         for index, cause in failures:

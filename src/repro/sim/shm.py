@@ -17,9 +17,6 @@ backed by :class:`multiprocessing.shared_memory.SharedMemory` instead:
   + array specs) that reconstructs a read-only
   :class:`~repro.core.columnar.ColumnarNeighborhood` view inside a worker
   without copying a byte.
-* :func:`share_floats` / :func:`attach_floats` (via the arena) — a small
-  writable float64 board used by the parallel branch and bound to share
-  incumbent bounds across subtree workers.
 
 Worker-side attachments are cached per segment name.  Ownership (and the
 unlink responsibility) stays with the creating process.  Pool workers
@@ -186,17 +183,6 @@ class SharedArena:
             has_reports=report_columns,
         )
 
-    def share_floats(self, count: int, fill: float) -> str:
-        """A writable shared float64 vector; returns its segment name."""
-        segment = self.create(count * 8)
-        view = np.ndarray((count,), dtype=np.float64, buffer=segment.buf)
-        view[:] = fill
-        return segment.name
-
-    def floats(self, name: str, count: int) -> np.ndarray:
-        """The owner's writable view of a :meth:`share_floats` vector."""
-        return attach_floats(name, count)
-
     def dispose(self) -> None:
         """Close and unlink every owned segment (idempotent, pid-guarded).
 
@@ -265,12 +251,6 @@ def _dispose_all_owned() -> None:
             continue
         segment, _ = _OWNED.pop(name)
         _unlink_owned(segment)
-
-
-def attach_floats(name: str, count: int) -> np.ndarray:
-    """A writable view of a shared float64 vector by segment name."""
-    segment = _attach(name)
-    return np.ndarray((count,), dtype=np.float64, buffer=segment.buf)
 
 
 def _encode_ids(ids: Tuple[str, ...]) -> Tuple[str, np.ndarray]:

@@ -268,14 +268,6 @@ class TestSharedArena:
         assert name not in shm.active_segments()
         assert not os.path.exists(f"/dev/shm/{name}")
 
-    def test_share_floats_roundtrip(self):
-        with shm.SharedArena() as arena:
-            name = arena.share_floats(4, float("inf"))
-            view = shm.attach_floats(name, 4)
-            assert np.all(np.isinf(view))
-            view[2] = 7.5
-            assert arena.floats(name, 4)[2] == 7.5
-
     def test_exotic_ids_take_pickle_route(self):
         encoding, _ = shm._encode_ids(("hh0", "hh1"))
         assert encoding == "bytes"
@@ -393,6 +385,23 @@ def _sleepy(value):
     return value
 
 
+def _hangs_once(task):
+    """Hangs the first time payload ``index`` runs if it is in ``hang``."""
+    directory, index, hang = task
+    if index in hang:
+        try:
+            fd = os.open(
+                os.path.join(directory, f"fuse-{index}"),
+                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            )
+        except FileExistsError:
+            pass
+        else:
+            os.close(fd)
+            time.sleep(60.0)
+    return index * index
+
+
 class TestChunkedFanOut:
     """40 payloads on 2 workers travel as 8 chunks of 5 payloads each."""
 
@@ -432,6 +441,22 @@ class TestChunkedFanOut:
         )
         assert out == list(range(16))
         assert failures == []
+
+    def test_stall_charges_only_the_stalled_chunks(self, tmp_path):
+        # 16 payloads on 2 workers make chunks of 2.  Payloads 0 and 2 hang
+        # the chunks [0, 1] and [2, 3]; the six chunks queued behind them
+        # never started, so they go again without a charge.
+        tasks = [(str(tmp_path), i, (0, 2)) for i in range(16)]
+        failures = []
+        out = map_tasks(
+            _hangs_once, tasks, workers=2, timeout_s=0.5, backoff_s=0.0,
+            on_failure=failures.append,
+        )
+        assert out == [i * i for i in range(16)]
+        assert sorted((f.index, f.attempt) for f in failures) == [
+            (0, 1), (1, 1), (2, 1), (3, 1)
+        ]
+        assert all("stalled" in f.cause for f in failures)
 
 
 @pytest.mark.chaos

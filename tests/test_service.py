@@ -40,6 +40,7 @@ from repro.service import (
     serve_city,
     shard_sizes,
 )
+from repro.sim import parallel
 
 SEED = 1107
 
@@ -343,6 +344,52 @@ class TestShardSupervisor:
         assert not completion.ok
         assert "deadline" in completion.cause
         assert supervisor.pool_replacements >= 1
+
+    def test_queued_shards_do_not_breach_while_waiting(self):
+        # Four 0.3 s shards on two workers: the second pair waits 0.3 s
+        # for a worker, then runs 0.3 s, inside its 0.5 s deadline.
+        with ShardSupervisor(
+            _sup_sleepy, workers=2, deadline_s=0.5, retries=2, backoff_s=0.0
+        ) as supervisor:
+            for key in range(4):
+                supervisor.submit(key, 0.3)
+            completions = _drain(supervisor)
+        assert supervisor.pool_replacements == 0
+        assert sorted((c.key, c.ok, c.attempts) for c in completions) == [
+            (key, True, 1) for key in range(4)
+        ]
+
+    def test_result_arriving_at_a_breach_is_kept(self, monkeypatch):
+        # The wait never reports the fast shard, so it is still in flight,
+        # already finished, when the slow one breaches and the pool dies.
+        real_wait = parallel.wait
+
+        def blind_wait(futures, timeout=None, return_when=None):
+            real_wait(futures, timeout=timeout, return_when=return_when)
+            return set(), set(futures)
+
+        monkeypatch.setattr(parallel, "wait", blind_wait)
+        with ShardSupervisor(
+            _sup_sleepy, workers=2, deadline_s=0.5, retries=0
+        ) as supervisor:
+            supervisor.submit(0, 0.01)
+            supervisor.submit(1, 30.0)
+            completions = {c.key: c for c in _drain(supervisor)}
+        assert completions[0].ok and completions[0].value == 0.01
+        assert not completions[1].ok and "deadline" in completions[1].cause
+
+    def test_close_with_work_in_flight_lets_the_process_exit(self):
+        script = (
+            "import time\n"
+            "from repro.service import ShardSupervisor\n"
+            "supervisor = ShardSupervisor(time.sleep, workers=2)\n"
+            "supervisor.submit(0, 30.0)\n"
+            "time.sleep(0.5)\n"
+            "supervisor.close()\n"
+        )
+        started = time.monotonic()
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=20)
+        assert time.monotonic() - started < 10.0
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):
