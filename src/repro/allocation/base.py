@@ -199,7 +199,12 @@ class ColumnarAllocationResult:
     order: Optional[np.ndarray] = None
 
     def to_result(self, compiled: "CompiledProblem") -> AllocationResult:
-        """Materialize the dict-of-intervals :class:`AllocationResult`."""
+        """Materialize the dict-of-intervals :class:`AllocationResult`.
+
+        Only the rows' ``ids`` and ``duration`` columns are read, so the
+        report columns a problem was compiled from
+        (:class:`~repro.core.columnar.ColumnarReports`) serve as well.
+        """
         ids = compiled.ids
         durations = compiled.duration.tolist()
         starts = self.starts.tolist()

@@ -276,15 +276,16 @@ def _simulate(args: argparse.Namespace) -> int:
         EnkiMechanism(seed=seed, quarantine=quarantine),
         columnar=args.columnar,
     )
+    audit = AuditLog(args.audit) if args.audit else None
     outcomes = simulation.run(
         neighborhood,
         days=days,
         seed=seed,
         workers=args.workers if args.workers is not None else 1,
         checkpoint=checkpoint,
+        audit=audit,
     )
 
-    audit = AuditLog(args.audit) if args.audit else None
     rows = []
     for day, outcome in enumerate(outcomes):
         settlement = outcome.settlement

@@ -389,16 +389,30 @@ class EnkiMechanism:
             screened = self.screen_reports(neighborhood, reports)
             if screened is not None:
                 reports = screened.accepted
+        compiled, result = self._allocate_columns(neighborhood, reports, rng)
+        return result.to_result(compiled)
+
+    def _allocate_columns(
+        self,
+        neighborhood: Neighborhood,
+        reports: Mapping[HouseholdId, Report],
+        rng: Optional[random.Random],
+    ) -> Tuple[CompiledProblem, ColumnarAllocationResult]:
+        """The array half of :meth:`allocate`: lower, solve, check.
+
+        Returns the compiled report map (its ``win_start``/``win_end``/
+        ``duration`` columns are the report windows, in map order) and
+        the allocator's begin slots.
+        """
         compiled = compile_reports(neighborhood, reports, self.pricing)
         result = self._solve(compiled, rng)
-        allocation_result = result.to_result(compiled)
         starts = result.starts
         if bool(np.any(
             (starts < compiled.win_start)
             | (starts + compiled.duration > compiled.win_end)
         )):
-            validate_allocation(dict(reports), allocation_result.allocation)
-        return allocation_result
+            validate_allocation(dict(reports), result.to_result(compiled).allocation)
+        return compiled, result
 
     def _solve(
         self, compiled: CompiledProblem, rng: Optional[random.Random]
@@ -431,6 +445,24 @@ class EnkiMechanism:
             IntervalError: When the allocation or consumption violates
                 Section III, or the consumption lacks an allocated
                 household.
+        """
+        settlement, _, _ = self._settle_columns(
+            neighborhood, reports, allocation, consumption
+        )
+        return settlement.to_settlement()
+
+    def _settle_columns(
+        self,
+        neighborhood: Neighborhood,
+        reports: Mapping[HouseholdId, Report],
+        allocation: AllocationMap,
+        consumption: ConsumptionMap,
+    ) -> Tuple[ColumnarSettlement, np.ndarray, np.ndarray]:
+        """The array half of :meth:`settle`: lower, check, score.
+
+        Returns the :class:`ColumnarSettlement` and the consumption begin
+        and end columns it was scored from, row-aligned with its ``ids``
+        (the allocated households, in neighborhood order).
         """
         types = neighborhood.households
         # Settle the allocated households only: under the quarantine's
@@ -472,7 +504,7 @@ class EnkiMechanism:
             if missing:
                 raise IntervalError(f"consumption missing households: {missing}")
 
-        return self.settle_arrays(
+        settlement = self.settle_arrays(
             ids=tuple(ids),
             alloc_starts=alloc_starts,
             alloc_ends=alloc_ends,
@@ -488,7 +520,8 @@ class EnkiMechanism:
             factors=np.fromiter(
                 (hh.valuation_factor for hh in households), float, count=n
             ),
-        ).to_settlement()
+        )
+        return settlement, cons_starts, cons_ends
 
     def settle_arrays(
         self,

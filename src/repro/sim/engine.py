@@ -37,18 +37,22 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
     Union,
 )
 
+import numpy as np
+
 from ..allocation.arrays import CompiledProblem
-from ..allocation.base import Allocator
+from ..allocation.base import Allocator, ColumnarAllocationResult
 from ..core.columnar import ColumnarNeighborhood, ColumnarReports
 from ..core.intervals import Interval
 from ..core.mechanism import (
     ColumnarDayOutcome,
+    ColumnarSettlement,
     DayOutcome,
     EnkiMechanism,
     closest_feasible_consumption,
@@ -60,6 +64,7 @@ from ..core.types import (
     HouseholdId,
     HouseholdType,
     Neighborhood,
+    Preference,
     Report,
 )
 from ..io.audit import AuditEvent, AuditLog
@@ -485,9 +490,147 @@ def follow_or_closest_policy(
     return closest_feasible_consumption(true.window, true.duration, allocation)
 
 
+class _DayColumns(NamedTuple):
+    """An object day on the wire: the arrays its ``DayOutcome`` came from.
+
+    The report columns are the compiled report map (map order, with each
+    ``Report.household_id``); the consumption columns are row-aligned
+    with the settlement's ``ids``, which are also the consumption map's
+    keys in order.
+    """
+
+    report_ids: Tuple[HouseholdId, ...]
+    report_households: Tuple[HouseholdId, ...]
+    report_start: np.ndarray
+    report_end: np.ndarray
+    report_duration: np.ndarray
+    allocation: ColumnarAllocationResult
+    consumption_start: np.ndarray
+    consumption_end: np.ndarray
+    settlement: ColumnarSettlement
+    quarantine_decisions: Tuple
+
+    def materialize(self, neighborhood: Neighborhood) -> DayOutcome:
+        """Rebuild the worker's ``DayOutcome``, equal field for field.
+
+        A report of a household's true preference shares that frozen
+        ``Preference`` from ``neighborhood`` (the day's households, as the
+        worker had them), other equal ``Preference``s share one instance,
+        and a followed allocation is the same ``Interval`` as its
+        consumption, as in the worker.
+        """
+        households = neighborhood.households
+        misreported: Dict[Tuple[int, int, int], Preference] = {}
+        reports: Dict[HouseholdId, Report] = {}
+        for key, hid, a, b, v in zip(
+            self.report_ids,
+            self.report_households,
+            self.report_start.tolist(),
+            self.report_end.tolist(),
+            self.report_duration.tolist(),
+        ):
+            preference = households[key].true_preference
+            window = preference.window
+            if window.start != a or window.end != b or preference.duration != v:
+                preference = misreported.get((a, b, v))
+                if preference is None:
+                    preference = misreported[a, b, v] = Preference(Interval(a, b), v)
+            reports[key] = Report(hid, preference)
+        allocation_result = self.allocation.to_result(
+            ColumnarReports.from_trusted(
+                self.report_ids,
+                self.report_start,
+                self.report_end,
+                self.report_duration,
+            )
+        )
+        allocation = allocation_result.allocation
+        consumption: ConsumptionMap = {}
+        for hid, a, b in zip(
+            self.settlement.ids,
+            self.consumption_start.tolist(),
+            self.consumption_end.tolist(),
+        ):
+            placed = allocation[hid]
+            followed = placed.start == a and placed.end == b
+            consumption[hid] = placed if followed else Interval(a, b)
+        return DayOutcome(
+            reports=reports,
+            allocation_result=allocation_result,
+            consumption=consumption,
+            settlement=self.settlement.to_settlement(),
+            quarantine_decisions=self.quarantine_decisions,
+        )
+
+
+class _ObjectDay:
+    """An object day's ``DayOutcome`` plus the arrays it was built from.
+
+    In process the run unwraps ``outcome`` as built.  Pickled, it ships
+    only the arrays, as :class:`_DayColumns`, and the parent rebuilds the
+    ``DayOutcome`` from them once.  The columns are gathered in
+    ``__reduce__``, so a serial run never pays for them.
+    """
+
+    __slots__ = ("outcome", "compiled", "solved", "cons_start", "cons_end", "settled")
+
+    def __init__(
+        self,
+        outcome: DayOutcome,
+        compiled: CompiledProblem,
+        solved: ColumnarAllocationResult,
+        cons_start: np.ndarray,
+        cons_end: np.ndarray,
+        settled: ColumnarSettlement,
+    ) -> None:
+        self.outcome = outcome
+        self.compiled = compiled
+        self.solved = solved
+        self.cons_start = cons_start
+        self.cons_end = cons_end
+        self.settled = settled
+
+    def __reduce__(self):
+        compiled = self.compiled
+        return _DayColumns, (
+            compiled.ids,
+            tuple(report.household_id for report in self.outcome.reports.values()),
+            compiled.win_start,
+            compiled.win_end,
+            compiled.duration,
+            self.solved,
+            self.cons_start,
+            self.cons_end,
+            self.settled,
+            self.outcome.quarantine_decisions,
+        )
+
+
+def _day_outcome(
+    value: Any, neighborhood: Neighborhood
+) -> Union[DayOutcome, ColumnarDayOutcome]:
+    """The outcome a simulation day task returned, unwrapped or rebuilt."""
+    if isinstance(value, _ObjectDay):
+        return value.outcome
+    if isinstance(value, _DayColumns):
+        return value.materialize(neighborhood)
+    return value
+
+
+def _own_allocate_and_settle(mechanism: EnkiMechanism) -> bool:
+    """True when ``mechanism`` allocates and settles with Enki's own methods.
+
+    Only then are the arrays behind a day at hand.  A subclass that
+    replaces ``allocate`` or ``settle`` is run through its own methods,
+    and its days cross a process boundary as pickled ``DayOutcome``s.
+    """
+    cls = type(mechanism)
+    return cls.allocate is EnkiMechanism.allocate and cls.settle is EnkiMechanism.settle
+
+
 def _run_simulation_day(
     task: Tuple["NeighborhoodSimulation", Any, int, int],
-) -> Union[DayOutcome, ColumnarDayOutcome]:
+) -> Union[DayOutcome, ColumnarDayOutcome, _ObjectDay]:
     """One full mechanism day: report, allocate, consume, settle.
 
     Module-level so the parallel runtime can pickle it.  Custom policies
@@ -496,7 +639,9 @@ def _run_simulation_day(
     :meth:`EnkiMechanism.run_day_columnar` with the default policies; its
     neighborhood arrives either as arrays or, when the run fans out to
     workers, as a :class:`~repro.sim.shm.SharedColumnarDay` descriptor,
-    resolved here to zero-copy views over the parent's segment.
+    resolved here to zero-copy views over the parent's segment.  An
+    object day comes back as an :class:`_ObjectDay`, which crosses a
+    process boundary as columns.
     """
     simulation, neighborhood, root, day = task
     if simulation.chaos is not None:
@@ -514,37 +659,48 @@ def _run_simulation_day(
     }
     if simulation.chaos is not None:
         reports = simulation.chaos.corrupt_reports(day, reports)
+    mechanism = simulation.mechanism
     decisions: Tuple = ()
-    screened = simulation.mechanism.screen_reports(neighborhood, reports)
+    screened = mechanism.screen_reports(neighborhood, reports)
     if screened is not None:
         reports = screened.accepted
         decisions = tuple(screened.decisions)
-    allocation_result = simulation.mechanism.allocate(
-        neighborhood, reports, random.Random(spawn_seed(rng)), pre_screened=True
-    )
+    alloc_rng = random.Random(spawn_seed(rng))
+    own_methods = _own_allocate_and_settle(mechanism)
+    if own_methods:
+        compiled, solved = mechanism._allocate_columns(neighborhood, reports, alloc_rng)
+        allocation_result = solved.to_result(compiled)
+    else:
+        allocation_result = mechanism.allocate(
+            neighborhood, reports, alloc_rng, pre_screened=True
+        )
+    allocation = allocation_result.allocation
     # Excluded (quarantined) households have no allocation and consume
     # nothing through the mechanism that day.
     consumption: ConsumptionMap = {
         hh.household_id: simulation.consumption_policy(
-            day,
-            hh,
-            reports[hh.household_id],
-            allocation_result.allocation[hh.household_id],
-            rng,
+            day, hh, reports[hh.household_id], allocation[hh.household_id], rng
         )
         for hh in neighborhood
-        if hh.household_id in allocation_result.allocation
+        if hh.household_id in allocation
     }
-    settlement = simulation.mechanism.settle(
-        neighborhood, reports, allocation_result.allocation, consumption
-    )
-    return DayOutcome(
+    if own_methods:
+        settled, cons_start, cons_end = mechanism._settle_columns(
+            neighborhood, reports, allocation, consumption
+        )
+        settlement = settled.to_settlement()
+    else:
+        settlement = mechanism.settle(neighborhood, reports, allocation, consumption)
+    outcome = DayOutcome(
         reports=reports,
         allocation_result=allocation_result,
         consumption=consumption,
         settlement=settlement,
         quarantine_decisions=decisions,
     )
+    if not own_methods:
+        return outcome
+    return _ObjectDay(outcome, compiled, solved, cons_start, cons_end, settled)
 
 
 class NeighborhoodSimulation:
@@ -624,7 +780,9 @@ class NeighborhoodSimulation:
             workers: Process count for the day fan-out; ``1`` (default)
                 runs serially.  Parallel output is bit-identical to serial.
                 A columnar run that fans out packs its neighborhood into
-                shared memory once (:mod:`repro.sim.shm`).
+                shared memory once (:mod:`repro.sim.shm`); an object day
+                computed by a worker comes back as arrays and is rebuilt
+                here once, as it completes.
             checkpoint: Persist each day's outcome as it completes and
                 replay already-completed days on rerun (``--resume``).
             checkpoint_prefix: Key prefix inside the store.
@@ -667,12 +825,17 @@ class NeighborhoodSimulation:
             arena = SharedArena()
             day_ref = arena.pack_day(neighborhood)
         tasks = [(self, day_ref, root, day) for day in pending]
+        computed: Dict[int, DayOutcome] = {}
 
-        def _persist(index: int, outcome: DayOutcome) -> None:
-            checkpoint.append(
-                day_key(pending[index], checkpoint_prefix),
-                day_outcome_to_dict(outcome),
-            )
+        def _keep(index: int, value: Any) -> None:
+            # Each day is unwrapped, or rebuilt from its columns, once,
+            # as it completes.
+            day = pending[index]
+            outcome = computed[day] = _day_outcome(value, neighborhood)
+            if checkpoint is not None:
+                checkpoint.append(
+                    day_key(day, checkpoint_prefix), day_outcome_to_dict(outcome)
+                )
 
         def _log_failure(failure) -> None:
             audit.append(
@@ -688,19 +851,18 @@ class NeighborhoodSimulation:
             )
 
         try:
-            computed_list = map_tasks(
+            map_tasks(
                 _run_simulation_day,
                 tasks,
                 workers,
                 timeout_s=timeout_s,
                 retries=retries,
-                on_result=_persist if checkpoint is not None else None,
+                on_result=_keep,
                 on_failure=_log_failure if audit is not None else None,
             )
         finally:
             if arena is not None:
                 arena.dispose()
-        computed = dict(zip(pending, computed_list))
 
         outcomes: List[DayOutcome] = []
         for day in range(days):

@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core.mechanism import EnkiMechanism
 from repro.io.audit import AuditEvent, AuditLog, summarize_audit
+from repro.sim import engine
 
 
 class TestAuditLog:
@@ -69,3 +70,32 @@ class TestSimulateCommand:
         summary = summarize_audit(AuditLog(str(path)))
         assert summary.days == 2
         assert summary.budget_balanced_every_day
+
+    def test_simulate_audits_its_recovered_worker_failure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """The run's own events reach the file, not only the settled days."""
+        real_day = engine._run_simulation_day
+        failed = []
+
+        def fails_day_0_once(task):
+            if task[3] == 0 and not failed:
+                failed.append(True)
+                raise RuntimeError("injected day-0 fault")
+            return real_day(task)
+
+        monkeypatch.setattr(engine, "_run_simulation_day", fails_day_0_once)
+        path = tmp_path / "log.jsonl"
+        code = main(
+            [
+                "simulate", "--n", "5", "--days", "2", "--seed", "4",
+                "--audit", str(path),
+            ]
+        )
+        assert code == 0
+        log = AuditLog(str(path))
+        failures = list(log.events(kind="worker_failure"))
+        assert [(e.day, e.payload["attempt"], e.payload["recovered"])
+                for e in failures] == [(0, 1, True)]
+        assert "injected day-0 fault" in failures[0].payload["cause"]
+        assert summarize_audit(log).days == 2

@@ -4,15 +4,15 @@
 and consumption maps to arrays once and check Section III as array masks.
 ``tests/reference_object_day.py`` keeps the dict-walking day they replaced;
 this suite runs ``run_day`` and a ``NeighborhoodSimulation`` day both ways
-and requires identical ``DayOutcome``s: every map with the same keys in the
-same insertion order, every float with the same bits (compared by
-``float.hex``), and every ``AllocationResult`` field but ``wall_time_s``.
+(the simulation serially and on two workers, whose days come back as
+columns) and requires identical ``DayOutcome``s: every map with the same
+keys in the same insertion order, every float with the same bits (compared
+by ``float.hex``), and every ``AllocationResult`` field but ``wall_time_s``.
 
 Ratings include non-binary ones (0.3/1.1/1.8/7.2 kW), whose load sums
 round, so a change in summation order would show as a changed bit.
 """
 
-import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -32,6 +32,7 @@ from repro.pricing.quadratic import QuadraticPricing
 from repro.robustness.quarantine import Quarantine, RawReport
 from repro.sim.engine import NeighborhoodSimulation, truthful_report_policy
 
+from .outcome_assertions import assert_same_outcome, assert_same_outcomes
 from .reference_object_day import ReferenceMechanism, closest_feasible_consumption
 
 _EXACT_RATINGS = (0.5, 1.0, 2.0, 4.0)
@@ -138,53 +139,6 @@ def _make_mechanism(cls, config):
 
 # ---------------------------------------------------------------- comparison
 
-def _same_floats(got, want):
-    assert list(got) == list(want)
-    assert [float(v).hex() for v in got.values()] == [
-        float(v).hex() for v in want.values()
-    ]
-
-
-def assert_same_outcome(got, want):
-    """Bit-identical ``DayOutcome``s, insertion order included."""
-    assert list(got.reports.items()) == list(want.reports.items())
-    assert type(got.consumption) is dict
-    assert list(got.consumption.items()) == list(want.consumption.items())
-    assert got.quarantine_decisions == want.quarantine_decisions
-
-    for field in dataclasses.fields(got.allocation_result):
-        name = field.name
-        ours = getattr(got.allocation_result, name)
-        theirs = getattr(want.allocation_result, name)
-        if name == "wall_time_s":
-            continue
-        if name == "allocation":
-            assert type(ours) is dict
-            assert list(ours.items()) == list(theirs.items())
-        elif isinstance(theirs, float):
-            assert float(ours).hex() == theirs.hex(), name
-        else:
-            assert ours == theirs, name
-
-    ours, theirs = got.settlement, want.settlement
-    for name in (
-        "flexibility",
-        "defection",
-        "social_cost",
-        "payments",
-        "valuations",
-        "utilities",
-        "overlap_fractions",
-    ):
-        assert type(getattr(ours, name)) is dict
-        _same_floats(getattr(ours, name), getattr(theirs, name))
-    assert ours.total_cost.hex() == theirs.total_cost.hex()
-    assert ours.neighborhood_utility.hex() == theirs.neighborhood_utility.hex()
-    assert ours.load_profile.as_array().tobytes() == (
-        theirs.load_profile.as_array().tobytes()
-    )
-
-
 def _outcome(run):
     """``run()``'s value, or the type and text of what it raised."""
     try:
@@ -206,9 +160,7 @@ def _assert_same_run(run_ours, run_reference):
     if want_error is not None:
         return
     if isinstance(want, list):
-        assert len(got) == len(want)
-        for got_day, want_day in zip(got, want):
-            assert_same_outcome(got_day, want_day)
+        assert_same_outcomes(got, want)
     else:
         assert_same_outcome(got, want)
 
@@ -247,20 +199,26 @@ class TestObjectDayMatchesReference:
     @given(day_configs())
     @settings(max_examples=40, deadline=None)
     def test_simulation_day(self, config):
+        """Serial days and days back from two workers match the reference.
+
+        Each run gets fresh mechanisms: a cache's ``cache_hit`` provenance
+        is per process, so a cache warmed by one run would differ.
+        """
         reporter = Reporter(config["misreport"], config["quarantine"] is not None)
-        ours = NeighborhoodSimulation(
-            _make_mechanism(EnkiMechanism, config), report_policy=reporter
-        )
-        reference = NeighborhoodSimulation(
-            _make_mechanism(ReferenceMechanism, config),
-            report_policy=reporter,
-            consumption_policy=reference_consumption_policy,
-        )
         neighborhood, seed = config["neighborhood"], config["seed"]
-        _assert_same_run(
-            lambda: ours.run(neighborhood, 2, seed=seed),
-            lambda: reference.run(neighborhood, 2, seed=seed),
-        )
+        for workers in (1, 2):
+            ours = NeighborhoodSimulation(
+                _make_mechanism(EnkiMechanism, config), report_policy=reporter
+            )
+            reference = NeighborhoodSimulation(
+                _make_mechanism(ReferenceMechanism, config),
+                report_policy=reporter,
+                consumption_policy=reference_consumption_policy,
+            )
+            _assert_same_run(
+                lambda: ours.run(neighborhood, 2, seed=seed, workers=workers),
+                lambda: reference.run(neighborhood, 2, seed=seed),
+            )
 
 
 class TestConsumptionSharesAllocation:
@@ -270,3 +228,16 @@ class TestConsumptionSharesAllocation:
         mechanism = EnkiMechanism(seed=0)
         outcome = mechanism.run_day(Neighborhood.of(household))
         assert outcome.consumption["A"] is outcome.allocation["A"]
+
+    def test_identity_survives_the_process_boundary(self):
+        """A day rebuilt from its columns shares the followed interval too."""
+        neighborhood = Neighborhood.of(
+            HouseholdType("A", Preference.of(16, 24, 2), 1.0),
+            HouseholdType("B", Preference.of(0, 10, 3), 1.5),
+        )
+        simulation = NeighborhoodSimulation(EnkiMechanism(seed=0))
+        outcomes = simulation.run(neighborhood, 2, seed=7, workers=2)
+        assert len(outcomes) == 2
+        for outcome in outcomes:
+            for hid in ("A", "B"):
+                assert outcome.consumption[hid] is outcome.allocation[hid]

@@ -1,6 +1,6 @@
 """Determinism regressions for the parallel simulation runtime.
 
-Three guarantees are pinned here:
+Four guarantees are pinned here:
 
 * seeded runs are reproducible — the same seed twice yields identical
   records;
@@ -9,12 +9,15 @@ Three guarantees are pinned here:
   sized so branch-and-bound always proves optimality within its budget —
   a *deadline-cut* anytime search is wall-clock dependent by design and
   belongs in the benchmarks, not here;
+* an object simulation day leaves a worker as arrays, not as pickled
+  ``Report``/``Interval``/``DayOutcome`` graphs;
 * the worker-resolution helpers behave as documented.
 
 Wall times are excluded from every comparison: they legitimately vary
 between runs and carry no scheduling information.
 """
 
+import io
 import os
 import pickle
 import time
@@ -29,10 +32,16 @@ from repro.io.audit import AuditLog
 from repro.robustness import ChaosInjector, ChaosPlan
 from repro.sim import parallel as parallel_mod
 from repro.sim import shm
-from repro.sim.engine import NeighborhoodSimulation, SocialWelfareStudy
+from repro.sim.engine import (
+    NeighborhoodSimulation,
+    SocialWelfareStudy,
+    _run_simulation_day,
+)
 from repro.sim.parallel import available_cores, map_tasks, resolve_workers
 from repro.sim.profiles import ProfileGenerator, neighborhood_from_profiles
-from repro.sim.rng import make_day_rngs
+from repro.sim.rng import make_day_rngs, root_entropy
+
+from .outcome_assertions import assert_same_outcomes
 
 SEED = 2017
 
@@ -62,23 +71,6 @@ def _neighborhood(n=10, seed=3):
     return neighborhood_from_profiles(profiles, "wide")
 
 
-def _outcome_key(outcomes):
-    """Everything a DayOutcome decides, minus wall-clock time."""
-    return [
-        (
-            sorted((hid, rep.preference) for hid, rep in o.reports.items()),
-            sorted(o.allocation.items()),
-            sorted(o.consumption.items()),
-            o.settlement.total_cost,
-            sorted(o.settlement.payments.items()),
-            sorted(o.settlement.utilities.items()),
-            o.settlement.neighborhood_utility,
-            o.settlement.load_profile.as_array().tolist(),
-        )
-        for o in outcomes
-    ]
-
-
 class TestSameSeedReproducibility:
     def test_study_same_seed_twice_is_identical(self):
         study = _study()
@@ -92,7 +84,7 @@ class TestSameSeedReproducibility:
         neighborhood = _neighborhood()
         first = simulation.run(neighborhood, days=3, seed=SEED)
         second = simulation.run(neighborhood, days=3, seed=SEED)
-        assert _outcome_key(first) == _outcome_key(second)
+        assert_same_outcomes(first, second)
 
     def test_different_seeds_differ(self):
         study = _study()
@@ -119,7 +111,7 @@ class TestParallelBitIdentity:
         neighborhood = _neighborhood()
         serial = simulation.run(neighborhood, days=4, seed=SEED, workers=1)
         parallel = simulation.run(neighborhood, days=4, seed=SEED, workers=4)
-        assert _outcome_key(serial) == _outcome_key(parallel)
+        assert_same_outcomes(parallel, serial)
 
     def test_all_cores_sentinel_matches_serial(self):
         study = SocialWelfareStudy(allocators=[GreedyFlexibilityAllocator()])
@@ -140,6 +132,34 @@ class TestDaySubstreams:
         rng_b, np_b = make_day_rngs(SEED, 1)
         assert rng_a.random() != rng_b.random()
         assert np_a.random() != np_b.random()
+
+
+class _RecordingUnpickler(pickle.Unpickler):
+    """Loads a pickle and records the name of every class it resolves."""
+
+    def __init__(self, data):
+        super().__init__(io.BytesIO(data))
+        self.resolved = set()
+
+    def find_class(self, module, name):
+        self.resolved.add(name)
+        return super().find_class(module, name)
+
+
+class TestObjectDayWire:
+    def test_object_day_crosses_as_arrays(self):
+        """A worker's object day pickles as columns, not as object graphs."""
+        neighborhood = _neighborhood(n=200)
+        simulation = NeighborhoodSimulation(EnkiMechanism(seed=0))
+        value = _run_simulation_day((simulation, neighborhood, root_entropy(SEED), 0))
+        wire = pickle.dumps(value)
+        loader = _RecordingUnpickler(wire)
+        loader.load()
+        assert not loader.resolved & {
+            "Report", "Preference", "Interval", "HouseholdType", "DayOutcome"
+        }
+        (outcome,) = simulation.run(neighborhood, days=1, seed=SEED)
+        assert len(wire) < len(pickle.dumps(outcome))
 
 
 def _double(x):
@@ -486,7 +506,7 @@ class TestChunkedChaos:
         clean = NeighborhoodSimulation(EnkiMechanism(seed=0)).run(
             _neighborhood(), days=self.DAYS, seed=SEED
         )
-        assert _outcome_key(chaotic) == _outcome_key(clean)
+        assert_same_outcomes(chaotic, clean)
         assert shm.active_segments() == ()
 
 

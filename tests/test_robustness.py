@@ -479,18 +479,28 @@ class TestCheckpointStore:
         assert first == second  # wall_time_s included: replay is verbatim
 
     def test_simulation_resume_matches_uninterrupted(self, tmp_path):
-        path = str(tmp_path / "sim.jsonl")
         neighborhood = small_neighborhood(n=6, seed=3)
         sim = NeighborhoodSimulation()
         clean = sim.run(neighborhood, 3, seed=9)
-        sim.run(neighborhood, 3, seed=9, checkpoint=CheckpointStore(path, fresh=True))
-        resumed = sim.run(neighborhood, 3, seed=9, checkpoint=CheckpointStore(path))
-        for a, b in zip(clean, resumed):
-            assert a.reports == b.reports
-            assert a.allocation == b.allocation
-            assert a.consumption == b.consumption
-            assert a.settlement.payments == b.settlement.payments
-            assert a.settlement.load_profile == b.settlement.load_profile
+        # On two workers the checkpoint persists days that came back
+        # across a process boundary.
+        for workers in (1, 2):
+            path = str(tmp_path / f"sim-{workers}.jsonl")
+            sim.run(
+                neighborhood, 3, seed=9, workers=workers,
+                checkpoint=CheckpointStore(path, fresh=True),
+            )
+            resumed = sim.run(
+                neighborhood, 3, seed=9, workers=workers,
+                checkpoint=CheckpointStore(path),
+            )
+            assert len(resumed) == len(clean)
+            for a, b in zip(clean, resumed):
+                assert a.reports == b.reports
+                assert a.allocation == b.allocation
+                assert a.consumption == b.consumption
+                assert a.settlement.payments == b.settlement.payments
+                assert a.settlement.load_profile == b.settlement.load_profile
 
 
 # -------------------------------------------------------------------- chaos
