@@ -1,7 +1,7 @@
 """Benchmarks for the supervised shard service (the ``city`` path).
 
 These track what the service layer adds on top of the bare columnar day:
-shared-memory packing, supervision, journaling and settlement records.
+shard transport, supervision, journaling and settlement records.
 ``city_n10k`` is the CI perf-smoke gate for the service; ``city_n1m`` is
 the headline — one million households sharded through the supervised
 service — and is ``slow``-marked, recorded into ``BENCH_core.json`` for
@@ -11,13 +11,12 @@ the numbers measure the scheduler, not the service.
 
 ``ingest_n1m`` benches the streaming report-ingestion path of PR 9: one
 million reports arriving as interleaved out-of-order chunks, coalesced
-through the columnar micro-batch builder and scattered zero-copy into
-the shard's shared-memory day segment.  It gates that streamed
-ingestion+packing stays within 2x of the direct columnar-array path,
-and documents the ablation that motivates the design: a naive
-per-report object path (RawReport construction + scalar validation +
-dict routing + scalar scatter, exactly what you would write without the
-columnar builder) is >= 10x slower than the micro-batched ingest.
+through the columnar micro-batch builder and scattered into the shard
+job's report arrays.  It documents the ablation that motivates the
+design: a naive per-report object path (RawReport construction + scalar
+validation + dict routing + scalar scatter, exactly what you would write
+without the columnar builder) is >= 10x slower than the micro-batched
+ingest.
 """
 
 import time
@@ -34,10 +33,6 @@ _CITY_N10K_BUDGET_S = 10.0
 
 #: Acceptance budget for the 1M-household city on 4+ core hosts.
 _CITY_N1M_BUDGET_S = 120.0
-
-#: Streamed ingestion+packing must stay within this factor of the
-#: direct columnar-array path (wire arrays + pack).
-_INGEST_STREAM_FACTOR = 2.0
 
 #: The naive per-report object path must be at least this many times
 #: slower than the micro-batched streamed ingest (the ablation).
@@ -150,21 +145,18 @@ def _naive_per_report_ingest(ids, begin, end, duration, metered, order, rows):
 def test_bench_ingest_n1m(bench_json, gate_note):
     """Streamed ingestion of a 1M-report day: throughput and latency.
 
-    Three measured paths over the same traffic:
+    Two measured paths over the same traffic:
 
-    * **direct** — the batch entry point's ingestion work: truthful wire
-      arrays + ``pack_day`` (the floor any path must approach).
-    * **streamed** — pack with embedded report columns, register, then
+    * **streamed** — register a job with NaN-filled report arrays, then
       245 interleaved out-of-order 4096-row chunks through the
-      micro-batch builder, the verifying id router and the shared-memory
-      scatter.  Records total seconds, reports/s and the p99 per-submit
-      admission latency.
+      micro-batch builder, the verifying id router and the scatter into
+      the job's arrays.  Records total seconds, reports/s and the p99
+      per-submit admission latency.
     * **naive** — the per-report object ablation (scalar validation +
       dict routing + scalar scatter), timed on a 100k-report subsample
       and scaled linearly (the loop is O(rows) with no warm-up effects).
 
-    Gates (4+ core runners): streamed <= 2x direct, naive >= 10x the
-    streamed ingest (excluding the pack both columnar paths share).
+    Gate (4+ core runners): naive >= 10x the streamed ingest.
     """
     from repro.service import (
         BoundedIngestQueue,
@@ -175,7 +167,6 @@ def test_bench_ingest_n1m(bench_json, gate_note):
     )
     from repro.service.shard import ShardJob
     from repro.sim.rng import root_entropy
-    from repro.sim.shm import SharedArena
 
     n = 1_000_000
     chunk_rows = 4096
@@ -194,48 +185,37 @@ def test_bench_ingest_n1m(bench_json, gate_note):
             ReportChunk(ids[rows], begin[rows], end[rows], duration[rows])
         )
 
-    # Direct columnar-array path: what submit_shard does after sampling.
-    arena = SharedArena(prefix="bench-direct")
-    started = time.perf_counter()
-    wire = neighborhood.truthful_wire()
-    arena.pack_day(neighborhood)
-    direct_s = time.perf_counter() - started
-    arena.dispose()
-
-    # Streamed path: pack + register + ingest every chunk + final flush.
-    arena = SharedArena(prefix="bench-stream")
+    # Streamed path: register + ingest every chunk + final flush.
     sealed = []
     ingestor = StreamIngestor(
         queue=BoundedIngestQueue(capacity=4),
         enqueue=lambda index, job: sealed.append(index),
         flush_age_s=None,
     )
+    job = ShardJob(
+        index=0,
+        neighborhood=neighborhood,
+        seed=shard_seed,
+        begin=np.full(n, np.nan),
+        end=np.full(n, np.nan),
+        duration=np.full(n, np.nan),
+    )
     latencies = []
     started = time.perf_counter()
-    day = arena.pack_day(neighborhood, report_columns=True)
-    pack_s = time.perf_counter() - started
-    ingestor.register(
-        0,
-        ShardJob(index=0, day=day, seed=shard_seed),
-        neighborhood.ids,
-        assume_canonical_ids=True,
-    )
+    ingestor.register(0, job, neighborhood.ids, assume_canonical_ids=True)
     for chunk in chunks:
         chunk_started = time.perf_counter()
         ingestor.submit(chunk)
         latencies.append(time.perf_counter() - chunk_started)
     ingestor.flush(reason="final")
     streamed_s = time.perf_counter() - started
-    ingest_s = streamed_s - pack_s
 
-    # Exactness before speed: every report landed on its row, zero-copy.
+    # Exactness before speed: every report landed on its row.
     assert sealed == [0]
     assert ingestor.incomplete() == ()
-    rep_begin, rep_end, rep_duration = day.report_views()
-    assert np.array_equal(rep_begin, wire[0])
-    assert np.array_equal(rep_end, wire[1])
-    assert np.array_equal(rep_duration, wire[2])
-    arena.dispose()
+    assert np.array_equal(job.begin, begin)
+    assert np.array_equal(job.end, end)
+    assert np.array_equal(job.duration, duration)
 
     naive_sample_s = _naive_per_report_ingest(
         ids, begin, end, duration, neighborhood.duration, order, naive_rows
@@ -244,21 +224,16 @@ def test_bench_ingest_n1m(bench_json, gate_note):
 
     throughput = n / streamed_s
     p99_ms = float(np.percentile(np.asarray(latencies), 99)) * 1e3
-    stream_factor = streamed_s / direct_s
-    naive_factor = naive_s / ingest_s
+    naive_factor = naive_s / streamed_s
     bench_json(
         "ingest_n1m",
         n_reports=n,
         chunk_rows=chunk_rows,
-        direct_seconds=direct_s,
         streamed_seconds=streamed_s,
-        streamed_pack_seconds=pack_s,
-        streamed_ingest_seconds=ingest_s,
         naive_seconds=naive_s,
         naive_sampled_rows=naive_rows,
         reports_per_second=throughput,
         p99_submit_ms=p99_ms,
-        streamed_vs_direct=stream_factor,
         naive_vs_streamed_ingest=naive_factor,
     )
 
@@ -266,22 +241,16 @@ def test_bench_ingest_n1m(bench_json, gate_note):
     if cores < 4:
         gate_note(
             "ingest_n1m", False,
-            f"timing gates bind on 4+ visible cores, have {cores} "
-            f"(recorded {stream_factor:.2f}x direct, naive ablation "
-            f"{naive_factor:.1f}x)",
+            f"timing gate binds on 4+ visible cores, have {cores} "
+            f"(recorded naive ablation {naive_factor:.1f}x)",
         )
         return
     gate_note(
         "ingest_n1m", True,
-        f"{cores} visible cores >= 4: streamed {stream_factor:.2f}x direct, "
-        f"naive {naive_factor:.1f}x streamed ingest",
-    )
-    assert stream_factor <= _INGEST_STREAM_FACTOR, (
-        f"streamed ingestion+packing took {streamed_s:.3f}s, more than "
-        f"{_INGEST_STREAM_FACTOR}x the direct columnar path's {direct_s:.3f}s"
+        f"{cores} visible cores >= 4: naive {naive_factor:.1f}x streamed ingest",
     )
     assert naive_factor >= _INGEST_NAIVE_FACTOR, (
         f"naive per-report path is only {naive_factor:.1f}x the streamed "
-        f"ingest ({naive_s:.2f}s vs {ingest_s:.3f}s); the ablation gate "
+        f"ingest ({naive_s:.2f}s vs {streamed_s:.3f}s); the ablation gate "
         f"requires {_INGEST_NAIVE_FACTOR}x"
     )

@@ -120,33 +120,6 @@ class ColumnarNeighborhood:
             ),
         )
 
-    @classmethod
-    def from_trusted(
-        cls,
-        ids: Tuple[HouseholdId, ...],
-        true_start: np.ndarray,
-        true_end: np.ndarray,
-        duration: np.ndarray,
-        rating: np.ndarray,
-        valuation: np.ndarray,
-    ) -> "ColumnarNeighborhood":
-        """Adopt pre-validated arrays as-is, skipping ``__post_init__``.
-
-        For zero-copy reconstruction of views over shared memory
-        (:mod:`repro.sim.shm`): the arrays were validated when the source
-        neighborhood was built, and re-validating (or the implicit
-        ``ascontiguousarray``) would defeat the no-copy transport.  The
-        caller guarantees dtype, contiguity and invariants.
-        """
-        self = cls.__new__(cls)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "true_start", true_start)
-        object.__setattr__(self, "true_end", true_end)
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "rating", rating)
-        object.__setattr__(self, "valuation", valuation)
-        return self
-
     def truthful_wire(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The truthful reports in wire form: three fresh float64 arrays.
 
@@ -249,8 +222,9 @@ class ColumnarReports:
     ) -> "ColumnarReports":
         """Adopt pre-validated arrays as-is, skipping ``__post_init__``.
 
-        Same contract as :meth:`ColumnarNeighborhood.from_trusted`: used
-        for zero-copy shared-memory views of already-validated rows.
+        For rows that were validated when they were first built, such as
+        a day's compiled reports rebuilt after crossing a process
+        boundary.  The caller guarantees dtype, contiguity and invariants.
         """
         self = cls.__new__(cls)
         object.__setattr__(self, "ids", ids)

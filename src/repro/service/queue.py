@@ -119,11 +119,10 @@ class BoundedIngestQueue(Generic[_T]):
         """Raise the rejection a :meth:`submit` would raise right now.
 
         A no-op while the queue is accepting.  Callers with expensive
-        payload construction (the service packs a shared-memory segment
-        per shard) probe admission first so a rejected submission costs
-        nothing.  ``extra_backlog`` folds caller-held backlog (the stream
-        ingestor's completed-but-unsubmitted shards) into the reported
-        depth and the retry hint.
+        payload construction can probe admission first so a rejected
+        submission costs nothing.  ``extra_backlog`` folds caller-held
+        backlog (the stream ingestor's completed-but-unsubmitted shards)
+        into the reported depth and the retry hint.
 
         Raises:
             ServiceOverloadError: The queue is at its high watermark, or

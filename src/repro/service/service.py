@@ -8,8 +8,8 @@ mechanism into something a city can feed continuously:
   :class:`~repro.robustness.errors.ServiceOverloadError` instead of
   buffering without bound.
 * **Settlement** runs on a :class:`~repro.sim.parallel.
-  ShardSupervisor` pool (shards travel by PR 6's shared-memory day
-  transport), with deadlines, jittered retries and pool replacement.
+  ShardSupervisor` pool (a shard travels as its pickled columns), with
+  deadlines, jittered retries and pool replacement.
 * **Degradation** is per-shard: a :class:`~repro.service.breaker.
   CircuitBreaker` trips after repeated failures and the shard settles
   *inline* on the degraded chain — clamp quarantine in front of a
@@ -51,7 +51,6 @@ from ..sim.parallel import (
     ShardCompletion,
     ShardSupervisor,
 )
-from ..sim.shm import SharedArena
 from .breaker import CircuitBreaker
 from .queue import BoundedIngestQueue
 from .shard import (
@@ -164,7 +163,6 @@ class ShardService:
             backoff_s=backoff_s,
             jitter=jitter,
         )
-        self._arena = SharedArena(prefix="svc")
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._jobs: Dict[int, ShardJob] = {}
         self._records: Dict[int, ShardSettlementRecord] = {}
@@ -197,9 +195,8 @@ class ShardService:
         self.close()
 
     def close(self) -> None:
-        """Release the pool and the shared-memory day segments."""
+        """Release the worker pool."""
         self._supervisor.close()
-        self._arena.dispose()
 
     # --------------------------------------------------------- ingestion
 
@@ -251,16 +248,6 @@ class ShardService:
                 self._replayed.append(index)
                 self._submitted += 1
                 return True
-        try:
-            # Probe admission before packing: a rejected submission must
-            # not leave a shared-memory segment behind.
-            self._queue.check_admission()
-        except Exception:
-            self._log("service_overload", index, {
-                "depth": self._queue.depth,
-                "capacity": self._queue.capacity,
-            })
-            raise
         if begin is None:
             begin = neighborhood.true_start.astype(float)
         if end is None:
@@ -269,13 +256,20 @@ class ShardService:
             duration = neighborhood.duration.astype(float)
         job = ShardJob(
             index=index,
-            day=self._arena.pack_day(neighborhood),
+            neighborhood=neighborhood,
             seed=seed,
             begin=np.asarray(begin, dtype=float),
             end=np.asarray(end, dtype=float),
             duration=np.asarray(duration, dtype=float),
         )
-        self._queue.submit(job)
+        try:
+            self._queue.submit(job)
+        except Exception:
+            self._log("service_overload", index, {
+                "depth": self._queue.depth,
+                "capacity": self._queue.capacity,
+            })
+            raise
         self._jobs[index] = job
         self._submitted += 1
         return False
@@ -320,12 +314,12 @@ class ShardService:
     ) -> bool:
         """Open shard ``index`` for report-stream ingestion.
 
-        Packs the shard's day segment (with embedded report columns) up
-        front so streamed rows scatter straight into shared memory, and
-        registers the shard's id space with the router.  The shard is
-        *not* counted as submitted until its last report arrives and the
-        sealed job enters the queue — an incomplete stream never blocks
-        :meth:`drain`.
+        Gives the shard's job three NaN-filled report arrays for streamed
+        rows to scatter into, and registers the shard's id space with the
+        router.  The shard is *not* counted as submitted until its last
+        report arrives and the sealed job enters the queue — an
+        incomplete stream never blocks :meth:`drain`, and no row is
+        written after the job is queued.
 
         ``assume_canonical_ids`` lets a caller that *generated* the ids
         (the city driver) vouch for the canonical ``s<index>-hh<row>``
@@ -357,10 +351,14 @@ class ShardService:
                 f"shard {index} is not in the journal; a neighborhood is "
                 "required to open it for streaming"
             )
+        rows = len(neighborhood)
         job = ShardJob(
             index=index,
-            day=self._arena.pack_day(neighborhood, report_columns=True),
+            neighborhood=neighborhood,
             seed=seed,
+            begin=np.full(rows, np.nan),
+            end=np.full(rows, np.nan),
+            duration=np.full(rows, np.nan),
         )
         ingestor.register(
             index, job, neighborhood.ids, assume_canonical_ids=assume_canonical_ids
@@ -395,9 +393,8 @@ class ShardService:
 
         Pumps the service as needed until no sealed shard is stuck behind
         backpressure.  Returns the indices of registered shards still
-        missing rows — those stay unsettled (their segments are released
-        with the service); an empty tuple means every streamed shard made
-        it into the settlement pipeline.
+        missing rows — those stay unsettled; an empty tuple means every
+        streamed shard made it into the settlement pipeline.
         """
         if self._stream is None:
             return ()
@@ -518,17 +515,16 @@ class ShardService:
         """Settle a sick shard inline on the degraded chain — never drop it."""
         started_at = time.perf_counter()
         mechanism = self._degraded_chain()
-        begin, end, duration = job.wire_arrays()
         outcome = mechanism.run_day_columnar_raw(
-            job.day.neighborhood(),
-            begin,
-            end,
-            duration,
+            job.neighborhood,
+            job.begin,
+            job.end,
+            job.duration,
             rng=random.Random(job.seed),
         )
         record = record_from_outcome(
             shard_id=job.index,
-            n_input=len(job.day),
+            n_input=len(job),
             outcome=outcome,
             wall_time_s=time.perf_counter() - started_at,
             # Tier 0 is the primary pool; the fallback chain's tiers sit

@@ -1,13 +1,14 @@
 """Shard jobs and settlement records: the units the service moves around.
 
 A *shard* is one :class:`~repro.core.columnar.ColumnarNeighborhood` day
-— a slice of the city — travelling as a :class:`ShardJob`: a
-shared-memory day descriptor (PR 6's zero-copy transport), the raw wire
-report arrays, and the shard's keyed seed.  The worker settles it and
-sends back a :class:`ShardSettlementRecord` — a few hundred bytes of
-summary plus a SHA-256 digest over the settled arrays — instead of the
-megabytes of outcome, so the pipe stays thin at city scale and the
-journal can replay a settlement byte-identically without storing it.
+— a slice of the city — travelling as a :class:`ShardJob`: the
+neighborhood's columns, the raw wire report arrays and the shard's keyed
+seed, pickled on the pool's feeder thread, off the submitting caller's
+path.  The worker settles it and sends back a
+:class:`ShardSettlementRecord` — a few hundred bytes of summary plus a
+SHA-256 digest over the settled arrays — instead of the megabytes of
+outcome, so the way back stays thin at city scale and the journal can
+replay a settlement byte-identically without storing it.
 """
 
 from __future__ import annotations
@@ -20,43 +21,31 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from ..core.columnar import ColumnarNeighborhood
 from ..core.mechanism import ColumnarDayOutcome, EnkiMechanism
-from ..sim.shm import SharedColumnarDay
 
 
 @dataclass(frozen=True)
 class ShardJob:
-    """One shard's inputs, picklable and small.
+    """One shard's inputs: its neighborhood, seed and raw reports.
 
     ``begin``/``end``/``duration`` are the *raw* report arrays straight
-    off the wire — float, aligned with the day's rows, possibly
-    malformed (that is the quarantine's problem, not the transport's).
-    The neighborhood itself travels by :class:`SharedColumnarDay`
-    descriptor; only these three small vectors are pickled per task.
-
-    Streamed shards leave all three as ``None``: their reports were
-    scattered into the day segment's embedded ``rep_*`` columns by the
-    ingestor, and :meth:`wire_arrays` reads them back as zero-copy views
-    — the whole job then pickles to a few hundred bytes regardless of
-    shard size.
+    off the wire — float64, aligned with the neighborhood's rows,
+    possibly malformed (that is the quarantine's problem, not the
+    transport's).  A streamed shard's arrays start as NaN and are
+    scattered into by the ingestor; a row that never arrives stays NaN
+    and lands in quarantine rather than settling silently.
     """
 
     index: int
-    day: SharedColumnarDay
+    neighborhood: ColumnarNeighborhood
     seed: int
-    begin: Optional[np.ndarray] = None
-    end: Optional[np.ndarray] = None
-    duration: Optional[np.ndarray] = None
+    begin: np.ndarray
+    end: np.ndarray
+    duration: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.day)
-
-    def wire_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The raw report arrays, pickled or embedded in the day segment."""
-        if self.begin is not None:
-            assert self.end is not None and self.duration is not None
-            return self.begin, self.end, self.duration
-        return self.day.report_views()
+        return len(self.neighborhood)
 
 
 @dataclass(frozen=True)
@@ -194,8 +183,7 @@ def settle_shard(
     """Settle one shard on the primary mechanism (module-level: picklable).
 
     Runs inside a pool worker (or inline for ``workers=1``): fires the
-    chaos shard hooks, reconstructs the zero-copy neighborhood view from
-    the shared segment, and drives the raw wire arrays through
+    chaos shard hooks and drives the job's raw wire arrays through
     :meth:`~repro.core.mechanism.EnkiMechanism.run_day_columnar_raw`.
     Pure in ``(job, mechanism)`` — a retried shard settles
     bit-identically.
@@ -204,18 +192,16 @@ def settle_shard(
     started_at = time.perf_counter()
     if injector is not None:
         injector.before_shard(job.index)
-    neighborhood = job.day.neighborhood()
-    begin, end, duration = job.wire_arrays()
     outcome = mechanism.run_day_columnar_raw(
-        neighborhood,
-        begin,
-        end,
-        duration,
+        job.neighborhood,
+        job.begin,
+        job.end,
+        job.duration,
         rng=random.Random(job.seed),
     )
     return record_from_outcome(
         shard_id=job.index,
-        n_input=len(job.day),
+        n_input=len(job),
         outcome=outcome,
         wall_time_s=time.perf_counter() - started_at,
     )

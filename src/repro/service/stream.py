@@ -1,4 +1,4 @@
-"""Streaming report ingestion: zero-copy columnar micro-batching.
+"""Streaming report ingestion: columnar micro-batching.
 
 The batch service ingests whole-shard arrays; real traffic arrives as
 individual :class:`~repro.robustness.quarantine.RawReport`\\ s, interleaved
@@ -20,16 +20,16 @@ settlements — without ever building a per-report object graph:
   id reconstructs exactly, so a lookalike id can never misroute.
   Exotic ids fall back to a per-shard dictionary built at registration.
 * :class:`ShardAssembler` — one per registered shard: scatters routed
-  micro-batch rows directly into the shard's shared-memory day segment
-  (the ``rep_*`` columns :meth:`~repro.sim.shm.SharedArena.pack_day`
-  preallocates), deduplicates, counts flush-time admission suspects via
-  the same :func:`~repro.robustness.quarantine.malformed_mask` the
-  settlement quarantine applies, and seals when every row has arrived.
+  micro-batch rows directly into the report arrays of the shard's
+  :class:`~repro.service.shard.ShardJob` (NaN-filled at registration),
+  deduplicates, counts flush-time admission suspects via the same
+  :func:`~repro.robustness.quarantine.malformed_mask` the settlement
+  quarantine applies, and seals when every row has arrived.
 * :class:`StreamIngestor` — the coalescer: flushes the builder on a
   size watermark, an age deadline, or shard completion; hands sealed
-  shards to the service queue as :class:`~repro.service.shard.ShardJob`
-  descriptors whose reports live *inside* the day segment (nothing is
-  pickled per task, nothing is copied after the scatter).
+  shards' jobs to the service queue.  A job is queued only once sealed,
+  so no scatter writes to arrays the pool may be pickling, and nothing
+  is copied after the scatter.
 
 Backpressure composes with the bounded queue: when sealed shards are
 ready but the queue refuses them, the next ``submit`` call is rejected
@@ -297,9 +297,9 @@ def parse_canonical_ids(
 class ShardAssembler:
     """Scatter target for one registered shard's streamed reports.
 
-    Writes routed rows straight into the writable ``rep_*`` views of the
-    shard's shared-memory day segment — after the scatter there is no
-    further copy anywhere: the worker settles the same bytes.  Tracks
+    Writes routed rows straight into the job's ``begin``/``end``/
+    ``duration`` arrays — after the scatter there is no further copy
+    before the job is pickled for its worker.  Tracks
     fill state for exactly-once semantics (within-batch and cross-batch
     duplicates are dropped, first write wins) and counts flush-time
     admission *suspects* — rows the settlement quarantine will flag,
@@ -310,11 +310,9 @@ class ShardAssembler:
     def __init__(self, index: int, job: ShardJob, width: int) -> None:
         self.index = index
         self.job = job
-        self.n = len(job.day)
+        self.n = len(job)
         #: Zero-padded row-digit count of canonical ids; 0 = dict-routed.
         self.width = width
-        self._begin, self._end, self._duration = job.day.writable_report_views()
-        self._metered = job.day.column("duration")
         self._filled = np.zeros(self.n, dtype=bool)
         self.count = 0
         self.duplicates = 0
@@ -345,15 +343,19 @@ class ShardAssembler:
         kept_begin = begin[src]
         kept_end = end[src]
         kept_duration = duration[src]
-        self._begin[keep] = kept_begin
-        self._end[keep] = kept_end
-        self._duration[keep] = kept_duration
+        job = self.job
+        job.begin[keep] = kept_begin
+        job.end[keep] = kept_end
+        job.duration[keep] = kept_duration
         self._filled[keep] = True
         self.count += int(keep.shape[0])
         self.suspects += int(
             np.count_nonzero(
                 malformed_mask(
-                    kept_begin, kept_end, kept_duration, self._metered[keep]
+                    kept_begin,
+                    kept_end,
+                    kept_duration,
+                    job.neighborhood.duration[keep],
                 )
             )
         )
@@ -483,10 +485,6 @@ class StreamIngestor:
         """Open shard ``index`` for streamed ingestion."""
         if index in self._assemblers or index in self._replayed:
             raise ValueError(f"shard {index} already registered")
-        if not job.day.has_reports:
-            raise ValueError(
-                f"shard {index}'s day was packed without report columns"
-            )
         width = self._register_id_space(index, ids, assume_canonical_ids)
         self._assemblers[index] = ShardAssembler(index, job, width)
 

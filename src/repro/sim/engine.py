@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, fields as dataclass_fields
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -78,7 +79,6 @@ from ..robustness.quarantine import Quarantine
 from .parallel import DEFAULT_RETRIES, map_tasks
 from .profiles import ProfileGenerator, neighborhood_from_profiles
 from .rng import make_day_rngs, root_entropy, spawn_seed
-from .shm import SharedArena, SharedColumnarDay
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..allocation.cache import AllocationCache
@@ -629,27 +629,26 @@ def _own_allocate_and_settle(mechanism: EnkiMechanism) -> bool:
 
 
 def _run_simulation_day(
-    task: Tuple["NeighborhoodSimulation", Any, int, int],
+    simulation: "NeighborhoodSimulation",
+    neighborhood: Union[Neighborhood, ColumnarNeighborhood],
+    task: Tuple[int, int],
 ) -> Union[DayOutcome, ColumnarDayOutcome, _ObjectDay]:
     """One full mechanism day: report, allocate, consume, settle.
 
-    Module-level so the parallel runtime can pickle it.  Custom policies
-    must themselves be picklable (module-level functions or instances) to
-    run with ``workers > 1``.  A columnar simulation's day runs through
-    :meth:`EnkiMechanism.run_day_columnar` with the default policies; its
-    neighborhood arrives either as arrays or, when the run fans out to
-    workers, as a :class:`~repro.sim.shm.SharedColumnarDay` descriptor,
-    resolved here to zero-copy views over the parent's segment.  An
+    ``task`` is ``(root, day)``.  Module-level so the parallel runtime can
+    pickle it; a run binds ``simulation`` and ``neighborhood`` once and
+    maps the bound function over its days.  Custom policies must themselves be
+    picklable (module-level functions or instances) to run with
+    ``workers > 1``.  A columnar simulation's day runs through
+    :meth:`EnkiMechanism.run_day_columnar` with the default policies.  An
     object day comes back as an :class:`_ObjectDay`, which crosses a
     process boundary as columns.
     """
-    simulation, neighborhood, root, day = task
+    root, day = task
     if simulation.chaos is not None:
         simulation.chaos.before_day(day)
     rng, _ = make_day_rngs(root, day)
     if simulation.columnar:
-        if isinstance(neighborhood, SharedColumnarDay):
-            neighborhood = neighborhood.neighborhood()
         return simulation.mechanism.run_day_columnar(
             neighborhood, rng=random.Random(spawn_seed(rng))
         )
@@ -779,10 +778,10 @@ class NeighborhoodSimulation:
             seed: Master seed; day ``d`` draws from substream ``(seed, d)``.
             workers: Process count for the day fan-out; ``1`` (default)
                 runs serially.  Parallel output is bit-identical to serial.
-                A columnar run that fans out packs its neighborhood into
-                shared memory once (:mod:`repro.sim.shm`); an object day
-                computed by a worker comes back as arrays and is rebuilt
-                here once, as it completes.
+                The simulation and its neighborhood reach each worker
+                process once, and every task carries only its day; an
+                object day computed by a worker comes back as arrays and
+                is rebuilt here once, as it completes.
             checkpoint: Persist each day's outcome as it completes and
                 replay already-completed days on rerun (``--resume``).
             checkpoint_prefix: Key prefix inside the store.
@@ -819,12 +818,6 @@ class NeighborhoodSimulation:
         pending = [
             day for day in range(days) if day_key(day, checkpoint_prefix) not in done
         ]
-        day_ref: Any = neighborhood
-        arena: Optional[SharedArena] = None
-        if self.columnar and workers not in (None, 1):
-            arena = SharedArena()
-            day_ref = arena.pack_day(neighborhood)
-        tasks = [(self, day_ref, root, day) for day in pending]
         computed: Dict[int, DayOutcome] = {}
 
         def _keep(index: int, value: Any) -> None:
@@ -850,19 +843,15 @@ class NeighborhoodSimulation:
                 )
             )
 
-        try:
-            map_tasks(
-                _run_simulation_day,
-                tasks,
-                workers,
-                timeout_s=timeout_s,
-                retries=retries,
-                on_result=_keep,
-                on_failure=_log_failure if audit is not None else None,
-            )
-        finally:
-            if arena is not None:
-                arena.dispose()
+        map_tasks(
+            partial(_run_simulation_day, self, neighborhood),
+            [(root, day) for day in pending],
+            workers,
+            timeout_s=timeout_s,
+            retries=retries,
+            on_result=_keep,
+            on_failure=_log_failure if audit is not None else None,
+        )
 
         outcomes: List[DayOutcome] = []
         for day in range(days):

@@ -51,10 +51,15 @@ attributes every fault to one payload:
   incremental checkpointing; ``on_failure(failure)`` reports every
   :class:`~repro.robustness.errors.WorkerFailure` for the audit trail.
 
-Worker functions must be module-level (picklable) and payloads must pickle;
-all engine day-workers in :mod:`repro.sim.engine` satisfy this.  Custom
-report/consumption policies that are lambdas or closures only work in
-serial mode.
+The worker function reaches each worker process once per pool, through
+the pool's initializer: a forked worker inherits it, and any other start
+method pickles it once per process.  Each submission carries only its
+payload, so inputs every payload shares — a neighborhood, a simulation —
+belong in the function (a :func:`functools.partial` of a module-level
+function), not in the payloads.  Worker functions and payloads must
+pickle; all engine day-workers in :mod:`repro.sim.engine` satisfy this.
+Custom report/consumption policies that are lambdas or closures only work
+in serial mode.
 """
 
 from __future__ import annotations
@@ -265,6 +270,22 @@ def _call_chunk(
     return outcomes
 
 
+#: The worker function this pool worker process runs, set once per process
+#: by :func:`_install`, the pool's initializer.
+_installed: Optional[Callable[[Any], Any]] = None
+
+
+def _install(fn: Callable[[Any], Any]) -> None:
+    """Pool initializer: keep ``fn`` for every task this worker runs."""
+    global _installed
+    _installed = fn
+
+
+def _call_installed(payload: Any) -> Any:
+    """Run the installed worker function on one submitted payload."""
+    return _installed(payload)
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcibly terminate a pool's worker processes (hung or broken)."""
     processes = getattr(pool, "_processes", None) or {}
@@ -317,7 +338,8 @@ class ShardSupervisor:
     """Supervises shard attempts on an owned worker pool.
 
     Args:
-        fn: Module-level (picklable) worker function of one payload.
+        fn: Module-level (picklable) worker function of one payload; it
+            reaches each worker process once per pool.
         workers: Pool size (see :func:`resolve_workers`); ``1`` runs
             inline.
         deadline_s: Per-shard wall-clock deadline, counted from when a
@@ -368,7 +390,11 @@ class ShardSupervisor:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # The worker function travels once per process, as the
+            # initializer's argument; submissions carry only payloads.
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_install, initargs=(self.fn,)
+            )
         return self._pool
 
     def _replace_pool(self) -> None:
@@ -413,7 +439,7 @@ class ShardSupervisor:
         entry.started_at = None
         while True:
             try:
-                future = self._ensure_pool().submit(self.fn, entry.payload)
+                future = self._ensure_pool().submit(_call_installed, entry.payload)
             except BrokenProcessPool:
                 # A worker died and the executor noticed before we did:
                 # submit() itself refuses.  Charge the shards that were in
@@ -610,7 +636,9 @@ def map_tasks(
     """Order-preserving map of ``fn`` over ``payloads``, optionally parallel.
 
     Args:
-        fn: A module-level (picklable) worker function.
+        fn: A module-level (picklable) worker function, or a
+            :func:`functools.partial` of one; it reaches each worker
+            process once per pool, however many chunks that worker runs.
         payloads: Picklable task descriptions; one ``fn`` call each.
         workers: Worker processes (see :func:`resolve_workers`); ``1`` runs
             inline in this process with zero overhead.  More workers split

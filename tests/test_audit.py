@@ -78,11 +78,11 @@ class TestSimulateCommand:
         real_day = engine._run_simulation_day
         failed = []
 
-        def fails_day_0_once(task):
-            if task[3] == 0 and not failed:
+        def fails_day_0_once(simulation, neighborhood, task):
+            if task[1] == 0 and not failed:
                 failed.append(True)
                 raise RuntimeError("injected day-0 fault")
-            return real_day(task)
+            return real_day(simulation, neighborhood, task)
 
         monkeypatch.setattr(engine, "_run_simulation_day", fails_day_0_once)
         path = tmp_path / "log.jsonl"

@@ -31,7 +31,6 @@ from repro.core.mechanism import EnkiMechanism
 from repro.io.audit import AuditLog
 from repro.robustness import ChaosInjector, ChaosPlan
 from repro.sim import parallel as parallel_mod
-from repro.sim import shm
 from repro.sim.engine import (
     NeighborhoodSimulation,
     SocialWelfareStudy,
@@ -151,7 +150,9 @@ class TestObjectDayWire:
         """A worker's object day pickles as columns, not as object graphs."""
         neighborhood = _neighborhood(n=200)
         simulation = NeighborhoodSimulation(EnkiMechanism(seed=0))
-        value = _run_simulation_day((simulation, neighborhood, root_entropy(SEED), 0))
+        value = _run_simulation_day(
+            simulation, neighborhood, (root_entropy(SEED), 0)
+        )
         wire = pickle.dumps(value)
         loader = _RecordingUnpickler(wire)
         loader.load()
@@ -164,6 +165,20 @@ class TestObjectDayWire:
 
 def _double(x):
     return 2 * x
+
+
+class _PickleCountingDouble:
+    """Doubles its payload and counts how often it is pickled."""
+
+    def __init__(self):
+        self.reductions = 0
+
+    def __call__(self, x):
+        return 2 * x
+
+    def __reduce__(self):
+        self.reductions += 1
+        return (_PickleCountingDouble, ())
 
 
 class TestWorkerPlumbing:
@@ -192,6 +207,14 @@ class TestWorkerPlumbing:
         payloads = list(range(12))
         assert map_tasks(_double, payloads, workers=1) == [2 * x for x in payloads]
         assert map_tasks(_double, payloads, workers=3) == [2 * x for x in payloads]
+
+    def test_worker_function_crosses_once_per_worker(self):
+        # Sixteen payloads at two workers make eight chunks; the function
+        # must not travel with each of them.
+        fn = _PickleCountingDouble()
+        payloads = list(range(16))
+        assert map_tasks(fn, payloads, workers=2) == [2 * x for x in payloads]
+        assert fn.reductions <= 2
 
     def test_map_tasks_empty(self):
         assert map_tasks(_double, [], workers=4) == []
@@ -238,7 +261,7 @@ def _columnar_outcome_key(outcomes):
 
 
 class TestSharedMemoryTransport:
-    """The shm day transport must be invisible in the results."""
+    """A columnar run fanned out to workers must be invisible in the results."""
 
     def test_shm_workers4_bit_identical_and_leak_free(self):
         neighborhood = _columnar_neighborhood()
@@ -246,55 +269,16 @@ class TestSharedMemoryTransport:
         serial = simulation.run(neighborhood, days=4, seed=SEED, workers=1)
         fanned = simulation.run(neighborhood, days=4, seed=SEED, workers=4)
         assert _columnar_outcome_key(serial) == _columnar_outcome_key(fanned)
-        assert shm.active_segments() == ()
 
     def test_auto_transport_uses_shm_for_parallel_columnar(self):
+        # Columnar days cross to workers as pickled arrays; a two-worker
+        # fan-out of a small population must match the serial run.
         neighborhood = _columnar_neighborhood(n=20)
         simulation = NeighborhoodSimulation(EnkiMechanism(seed=0), columnar=True)
         serial = simulation.run(neighborhood, days=2, seed=SEED, workers=1)
         fanned = simulation.run(neighborhood, days=2, seed=SEED, workers=2)
+        assert len(fanned) == 2
         assert _columnar_outcome_key(serial) == _columnar_outcome_key(fanned)
-        assert shm.active_segments() == ()
-
-
-class TestSharedArena:
-    def test_pack_day_roundtrip_is_zero_copy(self):
-        neighborhood = _columnar_neighborhood(n=500)
-        with shm.SharedArena() as arena:
-            day = arena.pack_day(neighborhood)
-            # The descriptor stays tiny no matter the population size.
-            assert len(pickle.dumps(day)) < 2_000
-            assert len(day) == len(neighborhood)
-            rebuilt = day.neighborhood()
-            assert rebuilt.ids == neighborhood.ids
-            np.testing.assert_array_equal(rebuilt.rating, neighborhood.rating)
-            np.testing.assert_array_equal(
-                rebuilt.true_start, neighborhood.true_start
-            )
-            # Reconstruction is cached and its arrays are views, not copies.
-            assert day.neighborhood() is rebuilt
-            assert not rebuilt.rating.flags.writeable
-            assert arena is not None
-            assert shm.active_segments() != ()
-        assert shm.active_segments() == ()
-
-    def test_dispose_is_idempotent_and_unlinks(self):
-        arena = shm.SharedArena()
-        day = arena.pack_day(_columnar_neighborhood(n=8))
-        name = day.segment
-        assert name in shm.active_segments()
-        arena.dispose()
-        arena.dispose()
-        assert name not in shm.active_segments()
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_exotic_ids_take_pickle_route(self):
-        encoding, _ = shm._encode_ids(("hh0", "hh1"))
-        assert encoding == "bytes"
-        for ids in ((), ("",), ("hh0", "hh1\x00"), ("hh0", 1)):
-            encoding, arr = shm._encode_ids(ids)
-            assert encoding == "pickle"
-            assert shm._decode_ids(arr, encoding) == tuple(ids)
 
 
 # ----------------------------------------------------- retry backoff pacing
@@ -507,25 +491,3 @@ class TestChunkedChaos:
             _neighborhood(), days=self.DAYS, seed=SEED
         )
         assert_same_outcomes(chaotic, clean)
-        assert shm.active_segments() == ()
-
-
-class TestArenaAtexitInterplay:
-    def test_dispose_after_global_sweep_is_quiet(self):
-        # The atexit sweep (_dispose_all_owned) and a later explicit
-        # dispose used to double-unlink; both orders must now be no-ops
-        # the second time, with no leaked segments either way.
-        arena = shm.SharedArena()
-        name = arena.pack_day(_columnar_neighborhood(n=6)).segment
-        assert name in shm.active_segments()
-        shm._dispose_all_owned()
-        assert name not in shm.active_segments()
-        arena.dispose()  # after the sweep: must not warn or raise
-        assert shm.active_segments() == ()
-
-    def test_context_exit_then_sweep_is_quiet(self):
-        with shm.SharedArena() as arena:
-            name = arena.pack_day(_columnar_neighborhood(n=6)).segment
-        assert name not in shm.active_segments()
-        shm._dispose_all_owned()  # nothing left to sweep; must be silent
-        assert shm.active_segments() == ()

@@ -12,6 +12,7 @@ acceptance gate lives in ``TestServiceChaosAcceptance``.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,7 +20,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.columnar import ColumnarNeighborhood
+from repro.core.mechanism import EnkiMechanism
 from repro.mechanisms.enki import serving_mechanism
+from repro.pricing.piecewise import TwoStepPricing
 from repro.robustness.chaos import ChaosInjector, ChaosPlan, ServiceChaosPlan
 from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.errors import (
@@ -27,12 +31,14 @@ from repro.robustness.errors import (
     ServiceInterrupted,
     ServiceOverloadError,
 )
+from repro.robustness.quarantine import Quarantine
 from repro.service import (
     CLOSED,
     HALF_OPEN,
     OPEN,
     BoundedIngestQueue,
     CircuitBreaker,
+    ReportChunk,
     ShardService,
     ShardSettlementRecord,
     ShardSupervisor,
@@ -40,6 +46,7 @@ from repro.service import (
     serve_city,
     shard_sizes,
 )
+from repro.service.shard import settlement_digest
 from repro.sim import parallel
 
 SEED = 1107
@@ -441,11 +448,10 @@ class TestShardService:
         assert result.all_budget_balanced()
 
     def test_pooled_city_prints_no_tracker_traceback(self):
-        # Shards packed after the pool forked reach workers by name.  A
-        # worker that dropped such a name from the resource tracker it
-        # shares with the parent made the parent's unlink print a KeyError
-        # traceback per shard.  The tracker writes to the stderr of the
-        # interpreter that started it, so the city runs in a fresh one.
+        # A pooled city leaves stderr clean.  A teardown fault once made
+        # the multiprocessing resource tracker print a KeyError traceback
+        # per shard; the tracker writes to the stderr of the interpreter
+        # that started it, so the city runs in a fresh one.
         script = (
             "from repro.service.city import serve_city\n"
             "serve_city(4000, shards=4, workers=2, queue_capacity=1)\n"
@@ -550,6 +556,111 @@ class TestShardService:
         )
         kinds = [event.kind for event in AuditLog(path).events()]
         assert kinds.count("shard_settled") == 2
+
+
+def _mixed_rating_shard(index, n, rng):
+    """A hand-built shard whose households draw 1.1, 2.0 or 7.2 kW.
+
+    ``ProfileGenerator`` gives every household one rating, so sampled
+    shards never mix non-binary ratings.
+    """
+    duration = rng.integers(1, 5, size=n)
+    slack = rng.integers(0, 9, size=n)
+    start = rng.integers(0, 25 - duration - slack)
+    return ColumnarNeighborhood(
+        ids=tuple(f"s{index}-hh{row:03d}" for row in range(n)),
+        true_start=start,
+        true_end=start + duration + slack,
+        duration=duration,
+        rating=rng.choice([1.1, 2.0, 7.2], size=n),
+        valuation=rng.uniform(4.0, 10.0, size=n),
+    )
+
+
+class TestMixedRatingCity:
+    """Batch and streamed shards settle as the inline day settles them.
+
+    Mixed non-binary ratings under two-step pricing, at one worker and at
+    two: every journaled digest equals the digest of the same shard run
+    inline through ``run_day_columnar_raw``.
+    """
+
+    SHARDS = 4
+    ROWS = 1000
+
+    @staticmethod
+    def _mechanism():
+        return EnkiMechanism(
+            pricing=TwoStepPricing(threshold_kw=400.0, low_rate=1.0, high_rate=4.0),
+            seed=SEED,
+            quarantine=Quarantine("clamp"),
+        )
+
+    def _shards(self):
+        rng = np.random.default_rng(SEED)
+        return [
+            (_mixed_rating_shard(index, self.ROWS, rng), SEED + index)
+            for index in range(self.SHARDS)
+        ]
+
+    def _inline_digests(self, shards):
+        mechanism = self._mechanism()
+        return {
+            index: settlement_digest(
+                mechanism.run_day_columnar_raw(
+                    neighborhood,
+                    *neighborhood.truthful_wire(),
+                    rng=random.Random(seed),
+                )
+            )
+            for index, (neighborhood, seed) in enumerate(shards)
+        }
+
+    @staticmethod
+    def _stream(service, shards, pieces=3):
+        """Every shard's rows, shuffled, dealt round-robin in chunks."""
+        chunks = []
+        for index, (neighborhood, _) in enumerate(shards):
+            ids = np.asarray(neighborhood.ids)
+            begin, end, duration = neighborhood.truthful_wire()
+            order = np.random.default_rng(index).permutation(len(neighborhood))
+            chunks.append([
+                ReportChunk(ids[rows], begin[rows], end[rows], duration[rows])
+                for rows in np.array_split(order, pieces)
+            ])
+        for piece in range(pieces):
+            for shard_chunks in chunks:
+                service.submit_reports(shard_chunks[piece])
+        assert service.finish_streams() == ()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stream", [False, True], ids=["batch", "stream"])
+    def test_journaled_digests_equal_inline_days(self, tmp_path, stream, workers):
+        shards = self._shards()
+        assert len(set(np.concatenate([nb.rating for nb, _ in shards]))) == 3
+        path = str(tmp_path / "journal.jsonl")
+        with ShardService(
+            mechanism=self._mechanism(),
+            workers=workers,
+            journal=CheckpointStore(path),
+        ) as service:
+            for index, (neighborhood, seed) in enumerate(shards):
+                if stream:
+                    service.register_stream_shard(index, neighborhood, seed=seed)
+                else:
+                    service.submit_shard(index, neighborhood, seed=seed)
+            if stream:
+                self._stream(service, shards)
+            result = service.drain()
+        assert result.degraded == ()
+        journaled = {
+            int(key.split("-")[1]): payload["digest"]
+            for key, payload in CheckpointStore(path).completed().items()
+            if key.startswith("shard-")
+        }
+        inline = self._inline_digests(shards)
+        assert len(set(inline.values())) == self.SHARDS
+        assert journaled == inline
 
 
 class TestCityHelpers:

@@ -288,8 +288,8 @@ class TestStreamIngestion:
 
     def test_streamed_reports_reach_degraded_tier_intact(self):
         # A streamed shard whose primary settlement is poisoned must
-        # settle on the degraded chain from the SAME shared-memory report
-        # columns (wire_arrays), not from stale batch-path arrays.
+        # settle on the degraded chain from the SAME report arrays the
+        # ingestor scattered into, not from stale batch-path arrays.
         sizes = [12]
         with _service(
             mechanism=serving_mechanism(seed=SEED, quarantine_policy=None),
