@@ -9,9 +9,13 @@ paper's Figure 6 comparison.
 
 Every solve path fixes the processing order with the one ``_order`` hook
 (one ``flexibility_vector`` call and one ``np.lexsort`` with a random tie
-key per household, drawn in row order; subclasses such as the ordering
-ablation's arrival-order greedy override it) and hands the placement to
-the one scalar sweep, :func:`repro.kernels.placement.place_day`:
+key per household, drawn in row order in one ``getrandbits`` call;
+subclasses such as the ordering ablation's arrival-order greedy override
+it) and hands the placement to :func:`repro.kernels.placement.place_day`.
+The flexibility order lays each class of identical households out as
+one contiguous run, so a large day takes the kernel's exact run-length
+sweep and a small one its scalar sweep; both give the same starts.  The
+two solve paths:
 
 * :meth:`GreedyFlexibilityAllocator.solve` — the object path: the
   problem's compiled view, solved as below and materialized.
@@ -42,6 +46,26 @@ from .base import (
     Allocator,
     ColumnarAllocationResult,
 )
+
+
+def _tie_keys(rng: random.Random, n: int) -> np.ndarray:
+    """``[rng.random() for _ in range(n)]`` as an array, bit for bit.
+
+    ``random()`` builds each double from two 32-bit outputs ``w0, w1`` as
+    ``((w0 >> 5)·2**26 + (w1 >> 6))·2**-53``.  ``getrandbits(64·n)``
+    returns the same 2n outputs, the first in the lowest 32 bits, and
+    leaves the generator in the same state, so a plain ``random.Random``
+    is read in that one draw.  Any other generator, such as a subclass
+    overriding ``random``, is drawn per call.
+    """
+    if type(rng) is not random.Random:
+        return np.array([rng.random() for _ in range(n)], dtype=np.float64)
+    words = np.frombuffer(
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
+    )
+    high = (words[0::2] >> 5).astype(np.float64)
+    low = (words[1::2] >> 6).astype(np.float64)
+    return (high * 67108864.0 + low) * (1.0 / 9007199254740992.0)
 
 
 def predicted_flexibility_for_problem(
@@ -94,14 +118,15 @@ class GreedyFlexibilityAllocator(Allocator):
     def _order(self, compiled: CompiledProblem, rng: random.Random) -> np.ndarray:
         """Rows in processing order: by flexibility, random tie key second.
 
-        The tie keys are drawn in row order, one per household; the stable
-        ``np.lexsort`` over ``(tie_key, flexibility)`` is the order a
-        ``sorted`` key of ``(flexibility, tie_key)`` gives.
+        The tie keys are drawn in row order, one per household
+        (:func:`_tie_keys`); the stable ``np.lexsort`` over
+        ``(tie_key, flexibility)`` is the order a ``sorted`` key of
+        ``(flexibility, tie_key)`` gives.
         """
         flex = flexibility_vector(
             compiled.win_start, compiled.win_end, compiled.duration
         )
-        keys = np.array([rng.random() for _ in range(len(compiled))])
+        keys = _tie_keys(rng, len(compiled))
         return np.lexsort((keys, flex if self.ascending else -flex))
 
     def _rows_in_order(

@@ -1,40 +1,24 @@
-"""The greedy placement sweep of Section IV-C: one scalar kernel.
+"""The greedy placement sweep of Section IV-C: two exact sweeps, one answer.
 
-Every greedy path places its households here — the object
-:meth:`~repro.allocation.greedy.GreedyFlexibilityAllocator.solve` and the
-columnar ``solve_columnar`` (and through them the ordering ablation's
-arrival-order greedy).  The caller fixes the processing order
-(flexibility plus random tie-break keys, or a shuffle); the kernel only
-places.
-
-Under quadratic pricing the marginal cost of a block is, up to a
-placement-independent constant, proportional to the load already under
-it, so each placement reads only the 24-hour aggregate load, kept as a
-25-entry prefix-sum list ``prefix`` (``prefix[0] == 0``).  Per household
-with window ``[a, b)``, duration ``v`` and rating ``r`` the float
-operations are, in this order:
-
-1. the candidate sums ``prefix[t + v] - prefix[t]`` for ``t = a .. b - v``;
-2. a first-minimum scan over them (the earliest start wins ties, as
-   ``np.argmin`` does);
-3. the ramp update ``prefix[k] += r * min(k - s, v)`` for every hour
-   ``k > s`` after placing at ``s``.
-
-These are the operations of the NumPy sweep this kernel replaced, element
-for element, so its starts are bit-identical to it for any ratings
-(``tests/test_kernels.py`` pins this against a verbatim copy); doing them
-on Python floats removes the four or five tiny NumPy calls per household
-that used to dominate the sweep.
-
-Other pricing models keep the general rule: per household, the batched
-per-hour marginal costs of :meth:`~repro.pricing.base.PricingModel.
-marginal_cost_batch` over the window, their prefix sum, and the first
-minimum of the sliding block sums.
+Every greedy path places its households here; the caller fixes the
+processing order.  Under quadratic pricing :func:`_exact_runs` picks the
+run sweep (:func:`_sweep_runs`: integer jumps over runs of identical rows)
+when a day's runs average :data:`MIN_MEAN_RUN` rows and its float
+arithmetic is exact, and otherwise the scalar sweep
+(:func:`_sweep_quadratic`: the float operations of the NumPy sweep it
+replaced, element for element); both give the same starts.  Other pricing
+models take :func:`_sweep_priced`.  ``docs/performance.md``, "Placement
+kernel", gives the exactness argument, the jump and cycle rules and the
+measured crossover.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import math
+import sys
+from itertools import accumulate
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +26,17 @@ from ..core.intervals import HOURS_PER_DAY
 from ..pricing.base import PricingModel
 from ..pricing.quadratic import QuadraticPricing
 from . import active_backend
+
+#: The run sweep pays for its per-run set-up once runs of identical rows
+#: average this many rows (docs/performance.md, "Placement kernel").
+MIN_MEAN_RUN = 12
+
+#: Float64 represents every integer below this exactly.
+_EXACT_LIMIT = 2 ** 53
+
+#: The largest quantum exponent ``e`` for which ``_EXACT_LIMIT`` quanta of
+#: ``2**e`` stay below the largest finite float.
+_MAX_QUANTUM_EXP = sys.float_info.max_exp - 53
 
 
 def place_day(
@@ -56,22 +51,181 @@ def place_day(
     """Place every row in ``order``, in that order; fill ``starts_out``.
 
     ``order`` lists row indices into the four columns; ``starts_out[i]``
-    receives row ``i``'s begin slot.  The columns are lowered to lists
-    once, already permuted into processing order.  Returns the kernel
-    backend name recorded on allocation results.
+    receives row ``i``'s begin slot.  The columns are permuted into
+    processing order once.  Under quadratic pricing a day of long runs
+    with exact arithmetic takes the run sweep, any other day the scalar
+    sweep; both give the same starts.  Returns the kernel backend name
+    recorded on allocation results.
     """
     order = np.asarray(order, dtype=np.intp)
-    day = (
-        win_start[order].tolist(),
-        win_end[order].tolist(),
-        duration[order].tolist(),
-        rating[order].tolist(),
-    )
-    if isinstance(pricing, QuadraticPricing):
-        starts_out[order] = _sweep_quadratic(*day)
+    day = (win_start[order], win_end[order], duration[order], rating[order])
+    quadratic = isinstance(pricing, QuadraticPricing)
+    runs = _exact_runs(*day) if quadratic else None
+    if runs is not None:
+        starts_out[order] = _sweep_runs(*runs)
+    elif quadratic:
+        starts_out[order] = _sweep_quadratic(*(column.tolist() for column in day))
     else:
-        starts_out[order] = _sweep_priced(*day, pricing)
+        starts_out[order] = _sweep_priced(
+            *(column.tolist() for column in day), pricing
+        )
     return active_backend()
+
+
+def _exact_runs(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    durations: np.ndarray,
+    ratings: np.ndarray,
+) -> Optional[Tuple[List[int], List[int], List[int], List[int], List[int]]]:
+    """The day as runs of identical rows, if the run sweep applies.
+
+    Columns in processing order.  Returns per run its start, end,
+    duration, rating in quanta and length, one list each, or ``None``
+    unless the runs average :data:`MIN_MEAN_RUN` rows, every rating is
+    positive and finite, Σ rating·duration is under 2**53 quanta, and
+    2**53 quanta are finite.
+    """
+    n = starts.shape[0]
+    if n < MIN_MEAN_RUN:
+        return None
+    new_run = (
+        (starts[1:] != starts[:-1])
+        | (ends[1:] != ends[:-1])
+        | (durations[1:] != durations[:-1])
+        | (ratings[1:] != ratings[:-1])
+    )
+    heads = np.flatnonzero(np.concatenate(([True], new_run)))
+    if n < MIN_MEAN_RUN * heads.shape[0]:
+        return None
+    head_ratings = ratings[heads].tolist()
+    if not all(0.0 < r < math.inf for r in head_ratings):
+        return None
+    # Each rating is num / den with den a power of two; the quantum 2**e
+    # is the lowest set bit among them.
+    ratios = {r: r.as_integer_ratio() for r in head_ratings}
+    e = min(
+        (num & -num).bit_length() - den.bit_length()
+        for num, den in ratios.values()
+    )
+    if e > _MAX_QUANTUM_EXP:
+        return None
+    quanta = {
+        r: (num << max(-e, 0)) // (den << max(e, 0))
+        for r, (num, den) in ratios.items()
+    }
+    units = [quanta[r] for r in head_ratings]
+    lengths = np.diff(heads, append=n).tolist()
+    head_durations = durations[heads].tolist()
+    if sum(map(mul, units, map(mul, lengths, head_durations))) >= _EXACT_LIMIT:
+        return None
+    return (
+        starts[heads].tolist(), ends[heads].tolist(), head_durations,
+        units, lengths,
+    )
+
+
+def _sweep_runs(
+    starts: Sequence[int],
+    ends: Sequence[int],
+    durations: Sequence[int],
+    units: Sequence[int],
+    lengths: Sequence[int],
+) -> np.ndarray:
+    """The quadratic sweep in integer quanta, one run per pass.
+
+    Takes one entry per run (rating ``u`` in quanta) and returns every
+    row's start, in processing order.  ``J`` placements at the first
+    minimum ``s`` raise ``c[s] - c[t]`` by ``J·u·min(|t - s|, v)``, so one
+    step places the most rows that keep ``s`` the first minimum; once
+    ``c - min(c)`` repeats at a segment boundary, the segments since then
+    are tiled over the rest of the run.
+    """
+    load = [0] * HOURS_PER_DAY
+    seg_starts: List[int] = []
+    seg_counts: List[int] = []
+    for a, b, v, u, left in zip(starts, ends, durations, units, lengths):
+        prefix = [0, *accumulate(load)]
+        c = [prefix[t + v] - prefix[t] for t in range(a, max(a, b - v) + 1)]
+        width = len(c)
+        # rate[d]: what one row at s adds to c[s] - c[s ± d];
+        # wave[d + v - 1]: what it adds to c[s + d].
+        rate = [u * (d if d < v else v) for d in range(width)]
+        wave = [u * (v - abs(d)) for d in range(1 - v, v)]
+        placed = [0] * HOURS_PER_DAY
+        seen: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+        while left:
+            low = min(c)
+            s = c.index(low)
+            gap = [x - low for x in c]
+            # min(c) rises at most u·v per row: a larger gap cannot close
+            # before the run ends, so its value does not matter.
+            far = u * v * left
+            state = tuple([g if g <= far else -1 for g in gap])
+            if state in seen:
+                first, left_then = seen[state]
+                _tile(seg_starts, seg_counts, placed, first, left_then - left, left)
+                break
+            seen[state] = (len(seg_starts), left)
+            # more = J - 1, the least gap over its rate; an earlier
+            # candidate must stay strictly above c[s].
+            more = left - 1
+            for d in range(1, s + 1):
+                if not more:
+                    break
+                k = (gap[s - d] - 1) // rate[d]
+                if k < more:
+                    more = k
+            for d in range(1, width - s):
+                if not more:
+                    break
+                k = gap[s + d] // rate[d]
+                if k < more:
+                    more = k
+            jump = more + 1
+            left -= jump
+            seg_starts.append(a + s)
+            seg_counts.append(jump)
+            placed[a + s] += jump
+            lo = s - v + 1 if s >= v else 0
+            for t in range(lo, s + v if s + v < width else width):
+                c[t] += jump * wave[t - s + v - 1]
+        for t in range(a, a + width):
+            if placed[t]:
+                for h in range(t, t + v):
+                    load[h] += placed[t] * u
+    return np.repeat(
+        np.array(seg_starts, dtype=np.intp), np.array(seg_counts, dtype=np.intp)
+    )
+
+
+def _tile(
+    seg_starts: List[int],
+    seg_counts: List[int],
+    placed: List[int],
+    first: int,
+    period: int,
+    left: int,
+) -> None:
+    """Repeat the segments from index ``first`` on over ``left`` more rows.
+
+    Those segments place ``period`` rows and bring the state back to
+    where it was; ``placed`` counts the rows per start.
+    """
+    cycle = list(zip(seg_starts[first:], seg_counts[first:]))
+    laps, rest = divmod(left, period)
+    for start, count in cycle:
+        placed[start] += laps * count
+    seg_starts.extend([start for start, _ in cycle] * laps)
+    seg_counts.extend([count for _, count in cycle] * laps)
+    for start, count in cycle:
+        if not rest:
+            break
+        count = min(count, rest)
+        rest -= count
+        placed[start] += count
+        seg_starts.append(start)
+        seg_counts.append(count)
 
 
 def _sweep_quadratic(

@@ -287,16 +287,8 @@ class ShardService:
         return self._stream
 
     def _enqueue_stream_job(self, index: int, job: ShardJob) -> None:
-        """Hand a completed streamed shard to the queue (may push back)."""
-        try:
-            self._queue.submit(job)
-        except Exception:
-            self._log("service_overload", index, {
-                "depth": self._queue.depth,
-                "capacity": self._queue.capacity,
-                "stream": True,
-            })
-            raise
+        """Hand a completed streamed shard to the (accepting) queue."""
+        self._queue.submit(job)
         self._jobs[index] = job
         self._submitted += 1
 

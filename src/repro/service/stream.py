@@ -32,12 +32,15 @@ settlements — without ever building a per-report object graph:
   is copied after the scatter.
 
 Backpressure composes with the bounded queue: when sealed shards are
-ready but the queue refuses them, the next ``submit`` call is rejected
-**before ingesting anything** with a
+ready but the queue is not accepting, the next ``submit`` call is
+rejected **before ingesting anything** by the queue's own
+``check_admission``, with a
 :class:`~repro.robustness.errors.ServiceOverloadError` whose depth and
 retry hint cover queue depth *plus* the ready backlog — a rejected call
 ingested zero reports, so the client can resubmit the same chunk after
-pumping, with no loss and no duplication.
+pumping, with no loss and no duplication.  The queue counts that error
+and latches its watermark hysteresis; holding sealed shards back
+meanwhile is neither counted nor latched.
 """
 
 from __future__ import annotations
@@ -396,7 +399,7 @@ class StreamIngestor:
         queue: The service's bounded queue (admission accounting and
             drain-rate retry hints are shared with the batch path).
         enqueue: Callback handing a sealed shard's job to the service;
-            raises :class:`ServiceOverloadError` on refusal.
+            called only while ``queue`` is accepting.
         on_event: Optional audit hook ``(kind, shard_index, payload)``.
         flush_rows: Size watermark.
         flush_age_s: Age deadline (``None`` disables age flushes).
@@ -525,16 +528,6 @@ class StreamIngestor:
             )
         )
 
-    def _overload(self) -> ServiceOverloadError:
-        backlog = max(1, self._queue.depth - self._queue.low_watermark) + len(
-            self._ready
-        )
-        return ServiceOverloadError(
-            retry_after_s=self._queue.retry_hint(backlog),
-            depth=self._queue.depth + len(self._ready),
-            capacity=self._queue.capacity,
-        )
-
     def submit(
         self, reports: Union[RawReport, ReportChunk, Iterable[RawReport]]
     ) -> int:
@@ -551,7 +544,13 @@ class StreamIngestor:
         """
         self.drain_ready()
         if self._ready:
-            raise self._overload()
+            try:
+                self._queue.check_admission(extra_backlog=len(self._ready))
+            except ServiceOverloadError as exc:
+                self._event("service_overload", self._ready[0], {
+                    "depth": exc.depth, "capacity": exc.capacity, "stream": True,
+                })
+                raise
         now = self._clock()
         if isinstance(reports, ReportChunk):
             accepted = self._builder.append_columnar(
@@ -655,13 +654,14 @@ class StreamIngestor:
         self.drain_ready()
 
     def drain_ready(self) -> None:
-        """Offer sealed shards to the queue until it pushes back."""
-        while self._ready:
+        """Queue sealed shards while the queue admits them.
+
+        Holding a shard back is not a rejection: only the error a client
+        receives from :meth:`submit` is counted.
+        """
+        while self._ready and self._queue.accepting:
             index = self._ready[0]
-            try:
-                self._enqueue(index, self._assemblers[index].job)
-            except ServiceOverloadError:
-                return
+            self._enqueue(index, self._assemblers[index].job)
             self._ready.popleft()
 
     def _event(self, kind: str, index: int, payload: Dict[str, Any]) -> None:

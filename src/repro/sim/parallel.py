@@ -27,8 +27,9 @@ output is bit-identical to serial output — only wall-clock time changes.
 The parallel path ships payloads as contiguous chunks, at most
 :data:`CHUNKS_PER_WORKER` per worker, so tiny days pay the pickling and
 dispatch cost once per chunk; four per worker balances the tail of uneven
-days against that cost.  It is hardened for unattended runs, and
-attributes every fault to one payload:
+days against that cost.  Chunk lengths differ by at most one payload, and
+the longer chunks go first, so the shorter ones fill the tail.  It is
+hardened for unattended runs, and attributes every fault to one payload:
 
 * **Crash recovery** — a payload that raises inside a chunk is recorded
   and the rest of its chunk still runs; a worker that dies
@@ -622,6 +623,19 @@ class ShardSupervisor:
         self._backlog.append(entry)
 
 
+def _chunks(n: int, n_chunks: int) -> List[Tuple[int, ...]]:
+    """Split payload indices ``0 .. n - 1`` into ``n_chunks`` contiguous runs.
+
+    Lengths differ by at most one, the longer runs first: the pool starts
+    chunks in submission order, so the short ones even out the tail.  12
+    equal days on 2 workers go as four chunks of 2, then four of 1, and
+    each worker runs 6.
+    """
+    size, extra = divmod(n, n_chunks)
+    bounds = [c * size + min(c, extra) for c in range(n_chunks + 1)]
+    return [tuple(range(bounds[c], bounds[c + 1])) for c in range(n_chunks)]
+
+
 def map_tasks(
     fn: Callable[[_P], _R],
     payloads: Sequence[_P],
@@ -643,7 +657,7 @@ def map_tasks(
         workers: Worker processes (see :func:`resolve_workers`); ``1`` runs
             inline in this process with zero overhead.  More workers split
             the payloads into ``min(len(payloads), 4 * workers)``
-            contiguous chunks of near-equal size.
+            contiguous chunks of near-equal size, longer ones first.
         timeout_s: Per-payload stall detector for the parallel path: a
             chunk that has not returned this long times the payload count
             of the round's largest chunk after a worker could start it is
@@ -693,11 +707,7 @@ def map_tasks(
         return serial
 
     n = len(payloads)
-    n_chunks = min(n, CHUNKS_PER_WORKER * n_workers)
-    pending: List[Tuple[int, ...]] = [
-        tuple(range(n * c // n_chunks, n * (c + 1) // n_chunks))
-        for c in range(n_chunks)
-    ]
+    pending = _chunks(n, min(n, CHUNKS_PER_WORKER * n_workers))
     results: Dict[int, _R] = {}
     attempts = [0] * n
     run_chunk = partial(_call_chunk, fn)

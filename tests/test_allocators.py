@@ -7,13 +7,16 @@ import pytest
 
 from repro.allocation.base import AllocationItem, AllocationProblem
 from repro.allocation.exhaustive import ExhaustiveAllocator
+from repro.allocation.arrays import compile_problem
 from repro.allocation.greedy import (
     GreedyFlexibilityAllocator,
+    _tie_keys,
     predicted_flexibility_for_problem,
 )
 from repro.allocation.local_search import LocalSearchAllocator, improve_allocation
 from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.allocation.random_alloc import EarliestAllocator, RandomAllocator
+from repro.core.flexibility import flexibility_vector
 from repro.core.intervals import Interval
 from repro.core.mechanism import truthful_reports
 from repro.core.types import HouseholdType, Neighborhood, Preference
@@ -78,6 +81,39 @@ class TestGreedy:
         # Not a theorem, but holds on this fixed instance and guards the
         # ordering ablation's expected direction.
         assert asc.cost <= desc.cost + 1e-9
+
+
+class TestTieKeys:
+    @pytest.mark.parametrize("n", [0, 1, 7, 200, 100_000])
+    def test_one_draw_equals_per_call_draws(self, n):
+        drawn, reference = random.Random(n + 41), random.Random(n + 41)
+        keys = _tie_keys(drawn, n)
+        expected = np.array([reference.random() for _ in range(n)], dtype=float)
+        assert keys.dtype == np.float64
+        assert np.array_equal(keys, expected)
+        # The generator is left where n random() calls leave it.
+        assert drawn.random() == reference.random()
+
+    def test_random_subclass_still_drives_the_order(self, pricing):
+        class Reversed(random.Random):
+            """Tie keys that flip the base generator's order."""
+
+            def random(self):
+                return 1.0 - super().random()
+
+        compiled = compile_problem(_random_problem(pricing, n=40, seed=5))
+        n = len(compiled)
+        flex = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        flipped = 1.0 - _tie_keys(random.Random(9), n)
+        allocator = GreedyFlexibilityAllocator()
+        order = allocator._rows_in_order(compiled, Reversed(9))
+        assert np.array_equal(order, np.lexsort((flipped, flex)))
+        # The instance has ties, so the subclass's keys changed the order.
+        assert not np.array_equal(
+            order, allocator._rows_in_order(compiled, random.Random(9))
+        )
 
 
 class TestExhaustive:

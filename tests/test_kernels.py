@@ -1,14 +1,17 @@
-"""The scalar placement kernel and the exact solver's node expansion.
+"""The placement kernel's two sweeps and the exact solver's node expansion.
 
 Every greedy path places through :mod:`repro.kernels.placement`.  The
 kernel reproduces a verbatim copy of the NumPy placement loop it replaced
 — identical starts and costs across random compiled problems, both
 pricing models, degenerate (slack-free and full-day) windows, n = 0/1 —
 for exact binary ratings *and* for ratings such as 0.3 or 1.1 kW whose
-load sums round, because it performs the same float operations in the
-same order.  The exact solver's node expansion is pinned against the
-inline numpy lines it was lifted from, and its results against
-exhaustive search.
+load sums round.  The scalar sweep performs the same float operations in
+the same order; the run sweep, taken on days of long runs of identical
+rows with exact arithmetic, performs them in integer quanta.  Run-heavy
+days (mixed dyadic ratings, runs into an empty day) are checked on both
+sides of the selection rule, and the run sweep is also called directly.
+The exact solver's node expansion is pinned against the inline numpy
+lines it was lifted from, and its results against exhaustive search.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation.arrays import CompiledProblem
@@ -27,10 +30,12 @@ from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator, expand_children
 from repro.core.flexibility import flexibility_vector
 from repro.core.intervals import HOURS_PER_DAY
-from repro.kernels.placement import place_day
+from repro.kernels import placement
+from repro.kernels.placement import MIN_MEAN_RUN, place_day
 from repro.pricing.load_profile import LoadProfile
 from repro.pricing.piecewise import TwoStepPricing
 from repro.pricing.quadratic import QuadraticPricing
+from repro.sim.profiles import ProfileGenerator
 
 #: Exactly-representable ratings (binary fractions, the paper's 2.0 among
 #: them), keeping every load sum exact.
@@ -134,6 +139,58 @@ def compiled_problems(draw, max_n=25, ratings=_EXACT_RATINGS):
     return compiled, pricing
 
 
+#: Dyadic ratings mixed within a run-heavy day.
+_RUN_RATINGS = (0.5, 1.0, 2.0, 3.0, 4.0)
+
+
+def _class_rows(classes):
+    """A compiled day from ``(start, end, duration, rating, copies)`` classes.
+
+    The rows are shuffled; the flexibility order regroups each class.
+    """
+    rows = [row[:4] for row in classes for _ in range(row[4])]
+    random.Random(len(rows)).shuffle(rows)
+    win_start, win_end, duration, rating = (
+        np.array(column) for column in zip(*rows)
+    )
+    return CompiledProblem.from_arrays(
+        ids=tuple(f"h{j:04d}" for j in range(len(rows))),
+        win_start=win_start.astype(np.intp),
+        win_end=win_end.astype(np.intp),
+        duration=duration.astype(np.intp),
+        rating=rating.astype(np.float64),
+    )
+
+
+@st.composite
+def run_heavy_problems(draw):
+    """1-6 classes of identical households, each in a run of many copies.
+
+    Classes differ in window or duration, so the flexibility order keeps
+    each one contiguous; ratings are mixed within the day.  Windows are
+    often the whole day, so the first run lands in an empty day where
+    every candidate ties.
+    """
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**16)))
+    shapes = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        a = rng.choice((0, rng.randint(0, 20)))
+        v = rng.randint(1, min(6, HOURS_PER_DAY - a))
+        b = rng.choice((HOURS_PER_DAY, min(HOURS_PER_DAY, a + v + rng.randint(0, 8))))
+        shapes.add((a, b, v))
+    return _class_rows([
+        (a, b, v, rng.choice(_RUN_RATINGS), rng.randint(MIN_MEAN_RUN, 300))
+        for a, b, v in sorted(shapes)
+    ])
+
+
+def _columns_in_order(compiled, order):
+    return (
+        compiled.win_start[order], compiled.win_end[order],
+        compiled.duration[order], compiled.rating[order],
+    )
+
+
 # ----------------------------------------------------- placement identity
 
 class TestPlacementBitIdentity:
@@ -154,6 +211,129 @@ class TestPlacementBitIdentity:
         assert np.array_equal(result.starts, legacy_starts)
         assert result.cost == legacy_cost
         assert result.kernel_backend == "python"
+
+    @given(run_heavy_problems(), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_run_heavy_days_take_the_run_sweep(self, compiled, seed):
+        pricing = _PRICINGS[0]
+        allocator = GreedyFlexibilityAllocator()
+        order = allocator._rows_in_order(compiled, random.Random(seed))
+        # Two classes may tie on flexibility and interleave; skip those.
+        assume(placement._exact_runs(*_columns_in_order(compiled, order)) is not None)
+        legacy_starts, legacy_cost = _legacy_solve_columnar(
+            allocator, compiled, pricing, random.Random(seed)
+        )
+        result = allocator.solve_columnar(compiled, pricing, random.Random(seed))
+        assert np.array_equal(result.starts, legacy_starts)
+        assert result.cost == legacy_cost
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=HOURS_PER_DAY - 1),
+                st.integers(min_value=1, max_value=8),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=1, max_value=8),
+                st.integers(min_value=1, max_value=400),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_run_sweep_called_directly(self, runs):
+        """The run sweep against the scalar sweep, no selection rule.
+
+        Each run is ``(start, duration, slack, rating in quanta, length)``;
+        adjacent runs may repeat a class, and runs of one row occur.
+        """
+        starts, ends, durations, units, lengths = [], [], [], [], []
+        for a, v, slack, u, length in runs:
+            v = min(v, HOURS_PER_DAY - a)
+            starts.append(a)
+            ends.append(min(HOURS_PER_DAY, a + v + slack))
+            durations.append(v)
+            units.append(u)
+            lengths.append(length)
+        expected = placement._sweep_quadratic(*(
+            [value for value, length in zip(column, lengths) for _ in range(length)]
+            for column in (starts, ends, durations, [float(u) for u in units])
+        ))
+        placed = placement._sweep_runs(starts, ends, durations, units, lengths)
+        assert placed.tolist() == expected
+
+    @pytest.mark.parametrize("ratings", [(0.3,), (1.1,), (0.3, 1.1, 2.0)])
+    def test_non_dyadic_runs_take_the_scalar_sweep(self, ratings):
+        """Long runs whose sums round: the scalar sweep, same starts."""
+        shapes = [(0, 24, 2), (6, 14, 3), (16, 22, 1)]
+        compiled = _class_rows([
+            (a, b, v, ratings[k % len(ratings)], 200)
+            for k, (a, b, v) in enumerate(shapes)
+        ])
+        self._check_selection(compiled, run_sweep=False)
+
+    def test_total_reaching_2_53_quanta_takes_the_scalar_sweep(self):
+        """Quantum 2**-49: 16 rows of 1 kW reach 2**53 quanta, 15 do not."""
+        tiny = 2.0 ** -49
+        for copies, run_sweep in ((15, True), (16, False)):
+            compiled = _class_rows([
+                (0, 6, 1, 1.0, copies),
+                (10, 20, 1, tiny, 16),
+            ])
+            self._check_selection(compiled, run_sweep=run_sweep)
+
+    def test_overflowing_loads_take_the_scalar_sweep(self):
+        """Quantum 2**1020: 48 quanta, but the float loads overflow to inf.
+
+        The run sweep's integers would spread the rows over the day; the
+        scalar sweep's inf/nan comparisons do not, so such a day must stay
+        scalar.  Quanta up to 2**971 keep 2**53 of them finite.
+        """
+        huge = 2.0 ** 1020
+        columns = ([0] * 48, [24] * 48, [1] * 48, [huge] * 48)
+        forced = placement._sweep_runs([0], [24], [1], [1], [48])
+        assert forced.tolist() != placement._sweep_quadratic(*columns)
+        with np.errstate(over="ignore"):  # these days cost inf
+            for rating, run_sweep in (
+                (huge, False), (2.0 ** 971, True), (2.0 ** 972, False)
+            ):
+                compiled = _class_rows([(0, 24, 1, rating, 48)])
+                self._check_selection(compiled, run_sweep, oracle="scalar")
+
+    def test_sampled_day_takes_the_run_sweep(self):
+        """A fig-style n = 10k day: ~25-row runs, far gaps, tiled cycles."""
+        neighborhood = ProfileGenerator().sample_population_columnar(
+            np.random.default_rng(2017), 10_000
+        ).to_neighborhood("wide")
+        compiled = CompiledProblem.from_arrays(
+            ids=neighborhood.ids,
+            win_start=neighborhood.true_start,
+            win_end=neighborhood.true_end,
+            duration=neighborhood.duration,
+            rating=neighborhood.rating,
+        )
+        self._check_selection(compiled, run_sweep=True, oracle="scalar")
+
+    @staticmethod
+    def _check_selection(compiled, run_sweep, oracle="legacy"):
+        """Assert which sweep the day takes, and that its starts match."""
+        pricing = _PRICINGS[0]
+        allocator = GreedyFlexibilityAllocator()
+        order = allocator._rows_in_order(compiled, random.Random(5))
+        columns = _columns_in_order(compiled, order)
+        assert (placement._exact_runs(*columns) is not None) == run_sweep
+        result = allocator.solve_columnar(compiled, pricing, random.Random(5))
+        if oracle == "legacy":
+            expected, cost = _legacy_solve_columnar(
+                allocator, compiled, pricing, random.Random(5)
+            )
+            assert result.cost == cost
+        else:
+            expected = np.zeros(len(compiled), dtype=np.intp)
+            expected[order] = placement._sweep_quadratic(
+                *(column.tolist() for column in columns)
+            )
+        assert np.array_equal(result.starts, expected)
 
     def test_subclassed_pricing_takes_the_python_path(self):
         """A ``QuadraticPricing`` subclass takes the quadratic sweep."""

@@ -409,6 +409,23 @@ def _hangs_once(task):
 class TestChunkedFanOut:
     """40 payloads on 2 workers travel as 8 chunks of 5 payloads each."""
 
+    def test_longer_chunks_go_first(self):
+        # 12 days on 2 workers: four chunks of 2, then four of 1, so equal
+        # days leave each worker 6.
+        assert parallel_mod._chunks(12, 8) == [
+            (0, 1), (2, 3), (4, 5), (6, 7), (8,), (9,), (10,), (11,)
+        ]
+        assert parallel_mod._chunks(40, 8) == [
+            tuple(range(5 * c, 5 * c + 5)) for c in range(8)
+        ]
+        for n in range(1, 50):
+            for n_chunks in range(1, n + 1):
+                chunks = parallel_mod._chunks(n, n_chunks)
+                lengths = [len(chunk) for chunk in chunks]
+                assert [i for chunk in chunks for i in chunk] == list(range(n))
+                assert lengths == sorted(lengths, reverse=True)
+                assert lengths[0] - lengths[-1] <= 1
+
     def test_chunks_keep_order_and_stream_each_payload_once(self, tmp_path):
         tasks = [(str(tmp_path), i, None) for i in range(40)]
         seen = []

@@ -24,9 +24,12 @@ from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.errors import ServiceInterrupted, ServiceOverloadError
 from repro.robustness.quarantine import RawReport
 from repro.service import (
+    BoundedIngestQueue,
     ColumnarReportBuilder,
     ReportChunk,
+    ShardJob,
     ShardService,
+    StreamIngestor,
     parse_canonical_ids,
     sample_shard,
     serve_city,
@@ -284,7 +287,58 @@ class TestStreamIngestion:
                 service.flush_reports()
             assert rejected > 0
             assert service.finish_streams() == ()
-            assert _digests(service.drain()) == reference
+            result = service.drain()
+            assert _digests(result) == reference
+            # One error received, one rejection counted: shards held back
+            # inside the ingestor are not rejections.
+            assert result.overload_rejections == rejected
+
+    def test_streamed_rejection_latches_until_low_watermark(self):
+        # Three sealed one-shard chunks into a capacity-2 queue: the third
+        # waits in the ingestor, the client is rejected, and stays
+        # rejected while the queue is above its low watermark.
+        queue = BoundedIngestQueue(capacity=2, low_watermark=0)
+        events = []
+        ingestor = StreamIngestor(
+            queue=queue,
+            enqueue=lambda index, job: queue.submit(job),
+            on_event=lambda kind, index, payload: events.append((kind, index)),
+            flush_age_s=None,
+        )
+        empty = ReportChunk(
+            np.asarray([], dtype=np.str_), np.zeros(0), np.zeros(0), np.zeros(0)
+        )
+        for index in range(3):
+            neighborhood, shard_seed = sample_shard(self.ROOT, index, 4)
+            nan = np.full(len(neighborhood), np.nan)
+            job = ShardJob(
+                index=index, neighborhood=neighborhood, seed=shard_seed,
+                begin=nan.copy(), end=nan.copy(), duration=nan.copy(),
+            )
+            ingestor.register(index, job, neighborhood.ids)
+            begin, end, duration = neighborhood.truthful_wire()
+            ingestor.submit(
+                ReportChunk(np.asarray(neighborhood.ids), begin, end, duration)
+            )
+            ingestor.flush()
+        assert (queue.depth, ingestor.ready_backlog) == (2, 1)
+        assert queue.rejections == 0
+        errors = 0
+        for _ in range(2):
+            with pytest.raises(ServiceOverloadError) as excinfo:
+                ingestor.submit(empty)
+            errors += 1
+            assert excinfo.value.depth == queue.depth + 1
+            queue.pop()
+        # Drained to the low watermark: the held shard is queued and the
+        # client's call goes through.
+        assert ingestor.submit(empty) == 0
+        assert (queue.depth, ingestor.ready_backlog) == (1, 0)
+        assert queue.rejections == errors == 2
+        # One audit event per received error, naming the held shard.
+        assert [e for e in events if e[0] == "service_overload"] == [
+            ("service_overload", 2), ("service_overload", 2),
+        ]
 
     def test_streamed_reports_reach_degraded_tier_intact(self):
         # A streamed shard whose primary settlement is poisoned must
