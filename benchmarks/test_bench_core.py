@@ -18,6 +18,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.defection import defection_scores
 from repro.core.flexibility import predicted_flexibility
@@ -149,7 +150,30 @@ def _legacy_numpy_sweep(order, win_start, win_end, duration, rating, starts_out)
 _KERNEL_MIN_SPEEDUP = 2.0
 
 
-def test_bench_greedy_kernel_n100k(bench_json, gate_note):
+def _best_of(fn, repeats=3):
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+@pytest.fixture(scope="module")
+def wide_day_n100k():
+    """The fig-style "wide" n = 100k day at seed 2017, compiled."""
+    from repro.core.columnar import ColumnarReports
+
+    cols = ProfileGenerator().sample_population_columnar(
+        np.random.default_rng(2017), 100_000
+    )
+    neighborhood = cols.to_neighborhood("wide")
+    return ColumnarReports.truthful(neighborhood).compile(
+        neighborhood, QuadraticPricing()
+    )
+
+
+def test_bench_greedy_kernel_n100k(bench_json, gate_note, wide_day_n100k):
     """Perf-smoke gate for the placement kernel: both sweeps >= 2x NumPy.
 
     Times ``place_day`` and the scalar ``_sweep_quadratic`` against the
@@ -161,19 +185,12 @@ def test_bench_greedy_kernel_n100k(bench_json, gate_note):
     timed directly so that it stays gated too.  All three run on every
     runner, so the gate always binds.
     """
-    from repro.core.columnar import ColumnarReports
     from repro.core.flexibility import flexibility_vector
     from repro.kernels.placement import _sweep_quadratic, place_day
 
-    n = 100_000
-    cols = ProfileGenerator().sample_population_columnar(
-        np.random.default_rng(2017), n
-    )
-    neighborhood = cols.to_neighborhood("wide")
+    compiled = wide_day_n100k
+    n = len(compiled)
     pricing = QuadraticPricing()
-    compiled = ColumnarReports.truthful(neighborhood).compile(
-        neighborhood, pricing
-    )
     rng = random.Random(0)
     keys = np.array([rng.random() for _ in range(n)])
     flex = flexibility_vector(
@@ -197,14 +214,6 @@ def test_bench_greedy_kernel_n100k(bench_json, gate_note):
     _legacy_numpy_sweep(order, *columns, legacy_starts)
     assert np.array_equal(kernel_starts, legacy_starts)
     assert np.array_equal(scalar_starts, legacy_starts)
-
-    def _best_of(fn, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
 
     legacy_s = _best_of(lambda: _legacy_numpy_sweep(order, *columns, legacy_starts))
     kernel_s = _best_of(lambda: place_day(order, *columns, pricing, kernel_starts))
@@ -236,6 +245,60 @@ def test_bench_greedy_kernel_n100k(bench_json, gate_note):
         )
 
 
+#: The class sort must beat the two-key lexsort order by at least this.
+_ORDER_MIN_SPEEDUP = 2.0
+
+
+def test_bench_greedy_order_n100k(bench_json, gate_note, wide_day_n100k):
+    """Perf-smoke gate for the processing order: >= 2x the lexsort order.
+
+    Times ``GreedyFlexibilityAllocator._order`` (Eq. 4 once per class,
+    a key argsort and a stable radix pass over 16-bit ranks) against the
+    order it replaced (Eq. 4 per row and a two-key ``np.lexsort``) on the
+    same n = 100k "wide" day, after asserting the two orders are
+    identical.  Both draw the same tie keys, and that draw is timed on
+    its own too.  Both run on every runner, so the gate always binds.
+    """
+    from repro.allocation.greedy import GreedyFlexibilityAllocator, _tie_keys
+    from repro.core.flexibility import flexibility_vector
+
+    compiled = wide_day_n100k
+    n = len(compiled)
+    allocator = GreedyFlexibilityAllocator()
+
+    def _lexsort_order():
+        flex = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        return np.lexsort((_tie_keys(random.Random(0), n), flex))
+
+    assert np.array_equal(
+        allocator._order(compiled, random.Random(0)), _lexsort_order()
+    )
+    lexsort_s = _best_of(_lexsort_order, repeats=7)
+    order_s = _best_of(lambda: allocator._order(compiled, random.Random(0)), 7)
+    keys_s = _best_of(lambda: _tie_keys(random.Random(0), n), repeats=7)
+    speedup = lexsort_s / order_s if order_s > 0 else float("inf")
+    bench_json(
+        "greedy_order_n100k",
+        n_households=n,
+        order_seconds=order_s,
+        lexsort_seconds=lexsort_s,
+        tie_keys_seconds=keys_s,
+        speedup=speedup,
+    )
+    gate_note(
+        "greedy_order_n100k", True,
+        f"class-rank order {speedup:.2f}x the lexsort order "
+        f"({order_s * 1e3:.1f} ms vs {lexsort_s * 1e3:.1f} ms, "
+        f"tie keys {keys_s * 1e3:.1f} ms on both sides)",
+    )
+    assert speedup >= _ORDER_MIN_SPEEDUP, (
+        f"_order is only {speedup:.2f}x the lexsort order ({order_s:.4f}s "
+        f"vs {lexsort_s:.4f}s); the gate requires {_ORDER_MIN_SPEEDUP}x"
+    )
+
+
 def test_bench_study_throughput_workers2(bench_json, gate_note):
     """Perf-smoke gate for the parallel day fan-out.
 
@@ -246,8 +309,6 @@ def test_bench_study_throughput_workers2(bench_json, gate_note):
     Single-visible-core runners skip the gate with a logged reason —
     fork fan-out cannot beat serial on one core.
     """
-    import pytest
-
     from repro.allocation.greedy import GreedyFlexibilityAllocator
     from repro.sim.engine import SocialWelfareStudy
     from repro.sim.parallel import available_cores

@@ -8,10 +8,11 @@ far.  One pass, O(n log n + n * W * v) — the tractability half of the
 paper's Figure 6 comparison.
 
 Every solve path fixes the processing order with the one ``_order`` hook
-(one ``flexibility_vector`` call and one ``np.lexsort`` with a random tie
-key per household, drawn in row order in one ``getrandbits`` call;
-subclasses such as the ordering ablation's arrival-order greedy override
-it) and hands the placement to :func:`repro.kernels.placement.place_day`.
+(Eq. 4 once per (window, duration) class, a random tie key per
+household drawn in row order in one ``getrandbits`` call, and a sort by
+key, then by 16-bit flexibility rank; subclasses such as the ordering
+ablation's arrival-order greedy override it) and hands the placement to
+:func:`repro.kernels.placement.place_day`.
 The flexibility order lays each class of identical households out as
 one contiguous run, so a large day takes the kernel's exact run-length
 sweep and a small one its scalar sweep; both give the same starts.  The
@@ -34,7 +35,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.flexibility import flexibility_vector
+from ..core.flexibility import CLASS_CODES, class_flexibility, flexibility_vector
 from ..core.types import HouseholdId
 from ..kernels.placement import place_day
 from ..pricing.base import PricingModel
@@ -118,16 +119,28 @@ class GreedyFlexibilityAllocator(Allocator):
     def _order(self, compiled: CompiledProblem, rng: random.Random) -> np.ndarray:
         """Rows in processing order: by flexibility, random tie key second.
 
-        The tie keys are drawn in row order, one per household
-        (:func:`_tie_keys`); the stable ``np.lexsort`` over
-        ``(tie_key, flexibility)`` is the order a ``sorted`` key of
-        ``(flexibility, tie_key)`` gives.
+        Exactly ``np.lexsort((keys, flex))`` (``-flex`` when descending) as
+        a two-pass least-significant-digit sort.  Eq. 4 takes one value
+        per (window, duration) class (:func:`class_flexibility`); its
+        distinct values are ranked as ``uint16``, equal values sharing a
+        rank.  The tie keys (:func:`_tie_keys`) are argsorted, stably if
+        two are equal so that equal keys keep row order, and a stable
+        argsort of the ranks in key order, a radix sort, finishes.
         """
-        flex = flexibility_vector(
+        codes, classes, scores = class_flexibility(
             compiled.win_start, compiled.win_end, compiled.duration
         )
         keys = _tie_keys(rng, len(compiled))
-        return np.lexsort((keys, flex if self.ascending else -flex))
+        by_score = np.argsort(scores if self.ascending else -scores)
+        ranked = scores[by_score]
+        # The lowest score keeps rank 0; each new value adds one.
+        rank = np.zeros(CLASS_CODES, dtype=np.uint16)
+        rank[classes[by_score[1:]]] = np.cumsum(ranked[1:] != ranked[:-1])
+        by_key = np.argsort(keys)
+        sorted_keys = keys[by_key]
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            by_key = np.argsort(keys, kind="stable")
+        return by_key[np.argsort(rank[codes[by_key]], kind="stable")]
 
     def _rows_in_order(
         self, compiled: CompiledProblem, rng: Optional[random.Random]

@@ -15,7 +15,8 @@ Two variants appear in the paper:
   ("f_i = 0 ... when the household misreports and defects").
 
 The batched entry points (:func:`coverage_from_arrays`,
-:func:`flexibility_vector`) score a whole neighborhood in a handful of
+:func:`flexibility_vector`, and :func:`class_flexibility` once per
+(window, duration) class) score a whole neighborhood in a handful of
 numpy operations; the mapping-based helpers wrap them so scalar and
 batched callers share one implementation.
 """
@@ -89,6 +90,32 @@ def flexibility_vector(
             f"the household itself (got mean {float(n_mean[bad])})"
         )
     return (lengths / np.asarray(durations, dtype=float)) / n_mean
+
+
+#: Class codes ``(start·25 + end)·25 + duration`` lie below this.
+CLASS_CODES = (HOURS_PER_DAY + 1) ** 3
+
+
+def class_flexibility(
+    starts: np.ndarray, ends: np.ndarray, durations: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 4 once per (window, duration) class of a day.
+
+    Each class present is scored against the whole day's coverage by the
+    elementwise float operations of :func:`flexibility_vector`, so its
+    score is each of its rows' value, bit for bit.  Returns each row's
+    class code, the codes present in increasing order, and their scores.
+    """
+    base = HOURS_PER_DAY + 1
+    codes = (starts * base + ends) * base + durations
+    present = np.zeros(CLASS_CODES, dtype=bool)
+    present[codes] = True
+    classes = present.nonzero()[0]
+    windows, class_durations = np.divmod(classes, base)
+    class_starts, class_ends = np.divmod(windows, base)
+    coverage = coverage_from_arrays(starts, ends)
+    scores = flexibility_vector(class_starts, class_ends, class_durations, coverage)
+    return codes, classes, scores
 
 
 def flexibility_score(

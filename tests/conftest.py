@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.intervals import Interval
 from repro.core.mechanism import EnkiMechanism
 from repro.core.types import HouseholdType, Neighborhood, Preference
 from repro.pricing.quadratic import QuadraticPricing

@@ -1,7 +1,5 @@
 """Unit tests for household agents, behaviours, ECC and the controller."""
 
-import random
-
 import pytest
 
 from repro.agents.behavior import (

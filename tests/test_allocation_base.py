@@ -6,7 +6,6 @@ from repro.allocation.base import AllocationItem, AllocationProblem
 from repro.core.intervals import Interval
 from repro.core.mechanism import truthful_reports
 from repro.core.types import HouseholdType, Neighborhood, Preference
-from repro.pricing.quadratic import QuadraticPricing
 
 
 def _problem(pricing):

@@ -4,10 +4,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.allocation.base import AllocationItem, AllocationProblem
 from repro.allocation.exhaustive import ExhaustiveAllocator
-from repro.allocation.arrays import compile_problem
+from repro.allocation.arrays import CompiledProblem, compile_problem
 from repro.allocation.greedy import (
     GreedyFlexibilityAllocator,
     _tie_keys,
@@ -16,8 +18,9 @@ from repro.allocation.greedy import (
 from repro.allocation.local_search import LocalSearchAllocator, improve_allocation
 from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.allocation.random_alloc import EarliestAllocator, RandomAllocator
-from repro.core.flexibility import flexibility_vector
-from repro.core.intervals import Interval
+from repro.core.columnar import ColumnarReports
+from repro.core.flexibility import class_flexibility, flexibility_vector
+from repro.core.intervals import HOURS_PER_DAY, Interval
 from repro.core.mechanism import truthful_reports
 from repro.core.types import HouseholdType, Neighborhood, Preference
 from repro.pricing.piecewise import TwoStepPricing
@@ -114,6 +117,141 @@ class TestTieKeys:
         assert not np.array_equal(
             order, allocator._rows_in_order(compiled, random.Random(9))
         )
+
+
+def _day(rows):
+    """A compiled day of ``(win_start, win_end, duration)`` rows, 2 kW each."""
+    columns = np.array(rows, dtype=np.intp).reshape(-1, 3).T
+    return CompiledProblem.from_arrays(
+        [f"hh{i}" for i in range(columns.shape[1])],
+        *columns,
+        np.full(columns.shape[1], 2.0),
+    )
+
+
+def _lexsort_order(compiled, keys, ascending):
+    """The processing order's oracle: a two-key lexsort on per-row Eq. 4."""
+    flex = flexibility_vector(compiled.win_start, compiled.win_end, compiled.duration)
+    return np.lexsort((keys, flex if ascending else -flex))
+
+
+@st.composite
+def _class_rows(draw):
+    start = draw(st.integers(0, HOURS_PER_DAY - 1))
+    end = draw(st.integers(start + 1, HOURS_PER_DAY))
+    return start, end, draw(st.integers(1, end - start))
+
+
+class TestProcessingOrder:
+    """``_order`` is the two-key lexsort over (flexibility, tie key)."""
+
+    @given(
+        st.lists(_class_rows(), min_size=1, max_size=40).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), max_size=300)
+        ),
+        st.integers(0, 2**32),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort(self, rows, seed, ascending):
+        compiled = _day(rows)
+        rng, reference = random.Random(seed), random.Random(seed)
+        order = GreedyFlexibilityAllocator(ascending=ascending)._rows_in_order(
+            compiled, rng
+        )
+        expected = _lexsort_order(compiled, _tie_keys(reference, len(rows)), ascending)
+        assert np.array_equal(order, expected)
+        assert rng.getstate() == reference.getstate()
+        # Each class's score is its rows' per-row Eq. 4 value, bit for bit.
+        codes, classes, scores = class_flexibility(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        flex = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        assert np.array_equal(scores[np.searchsorted(classes, codes)], flex)
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_mirrored_classes_interleave_by_key(self, ascending):
+        # Mirror-image windows over a symmetric coverage score alike, so
+        # their rows share a rank and are ordered by tie key alone.
+        compiled = _day([(0, 4, 2)] * 30 + [(20, 24, 2)] * 30)
+        flex = flexibility_vector(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        assert flex[0] == flex[-1]
+        order = GreedyFlexibilityAllocator(ascending=ascending)._rows_in_order(
+            compiled, random.Random(4)
+        )
+        keys = _tie_keys(random.Random(4), 60)
+        assert np.array_equal(order, np.argsort(keys))
+        assert np.count_nonzero(np.diff(order >= 30)) > 1
+
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_duplicate_keys_keep_row_order(self, ascending):
+        class Rounded(random.Random):
+            """Tie keys on a 0.01 grid: thousands of equal keys."""
+
+            def random(self):
+                return round(super().random(), 2)
+
+        n = 5_000
+        cols = ProfileGenerator().sample_population_columnar(
+            np.random.default_rng(3), n
+        )
+        neighborhood = cols.to_neighborhood("wide")
+        compiled = ColumnarReports.truthful(neighborhood).compile(
+            neighborhood, QuadraticPricing()
+        )
+        codes, classes, scores = class_flexibility(
+            compiled.win_start, compiled.win_end, compiled.duration
+        )
+        # 366 classes carry 363 distinct values, so rows of different
+        # classes interleave by key.
+        assert len(np.unique(scores)) < len(classes)
+        keys = _tie_keys(Rounded(8), n)
+        assert len(np.unique(keys)) < n
+        order = GreedyFlexibilityAllocator(ascending=ascending)._rows_in_order(
+            compiled, Rounded(8)
+        )
+        assert np.array_equal(order, _lexsort_order(compiled, keys, ascending))
+
+    def test_one_equal_pair_per_key_keeps_row_order(self):
+        class Paired(random.Random):
+            """Row k and row k + 200 draw the same key; no key thrice."""
+
+            def __init__(self, seed):
+                super().__init__(seed)
+                draw = super().random
+                half = [draw() for _ in range(200)]
+                self._keys = iter(half + half)
+
+            def random(self):
+                return next(self._keys)
+
+        compiled = _day([(4, 20, 5)] * 400)
+        order = GreedyFlexibilityAllocator()._rows_in_order(compiled, Paired(6))
+        keys = _tie_keys(Paired(6), 400)
+        assert np.array_equal(order, _lexsort_order(compiled, keys, True))
+        assert np.all(order[0::2] < 200) and np.all(order[1::2] >= 200)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(6, 18, 3)] * 50,
+            [(0, 24, 24)] * 7,
+            [(0, 24, 24)] * 5 + [(23, 24, 1)] * 5 + [(0, 1, 1)] * 3,
+        ],
+        ids=["one-class", "full-day", "full-day-and-edges"],
+    )
+    def test_edge_days(self, rows):
+        compiled = _day(rows)
+        keys = _tie_keys(random.Random(12), len(rows))
+        for ascending in (True, False):
+            order = GreedyFlexibilityAllocator(ascending=ascending)._rows_in_order(
+                compiled, random.Random(12)
+            )
+            assert np.array_equal(order, _lexsort_order(compiled, keys, ascending))
 
 
 class TestExhaustive:

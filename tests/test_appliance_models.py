@@ -6,7 +6,6 @@ import pytest
 from repro.core.mechanism import EnkiMechanism
 from repro.extensions.appliances import MultiApplianceEnki
 from repro.sim.appliance_models import (
-    DISHWASHER,
     EV_CHARGER,
     STANDARD_ARCHETYPES,
     ApplianceArchetype,

@@ -14,7 +14,6 @@ from repro.core.defection import (
 from repro.core.intervals import Interval
 from repro.core.types import HouseholdType, Preference
 from repro.pricing.piecewise import TwoStepPricing
-from repro.pricing.quadratic import QuadraticPricing
 
 
 def _types(*specs):

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.intervals import Interval
 from repro.core.mechanism import EnkiMechanism
 from repro.core.types import HouseholdType, Neighborhood, Preference
 from repro.extensions.appliances import (

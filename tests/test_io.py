@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.intervals import Interval
 from repro.core.mechanism import EnkiMechanism
-from repro.core.types import HouseholdType, Neighborhood, Preference, Report
+from repro.core.types import HouseholdType, Preference, Report
 from repro.io.csvout import rows_to_csv, table_text_to_csv, write_csv
 from repro.io.serialize import (
     SerializationError,

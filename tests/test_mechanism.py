@@ -14,7 +14,6 @@ from repro.core.mechanism import (
     truthful_reports,
 )
 from repro.core.types import HouseholdType, Neighborhood, Preference, Report
-from repro.pricing.quadratic import QuadraticPricing
 
 
 class TestTruthfulReports:

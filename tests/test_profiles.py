@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.intervals import HOURS_PER_DAY, Interval
+from repro.core.intervals import HOURS_PER_DAY
 from repro.core.types import Preference
 from repro.sim.profiles import (
     ProfileGenerator,

@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-import math
 import random
 
 import numpy as np
@@ -13,7 +12,7 @@ from repro.allocation.exhaustive import ExhaustiveAllocator
 from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.allocation.relaxation import quadratic_waterfill_bound, waterfill_levels
-from repro.core.intervals import HOURS_PER_DAY, Interval
+from repro.core.intervals import Interval
 from repro.core.mechanism import EnkiMechanism, truthful_reports
 from repro.core.payments import payments
 from repro.core.social_cost import social_cost_scores

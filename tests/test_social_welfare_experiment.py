@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.social_welfare import (
     ENKI,
     OPTIMAL,
-    SocialWelfareResult,
     run_social_welfare_study,
 )
 from repro.experiments import fig4_par, fig5_cost, fig6_time

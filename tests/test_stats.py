@@ -8,7 +8,7 @@ import sys
 import pytest
 import scipy.stats as sps
 
-from repro.stats.descriptive import MeanCI, mean_ci, sample_mean, sample_std
+from repro.stats.descriptive import mean_ci, sample_mean, sample_std
 from repro.stats.mannwhitney import mann_whitney_u, u_statistic
 
 

@@ -1,11 +1,8 @@
 """Empirical tests of the Section V theorems via the theory package."""
 
-import random
-
 import pytest
 
 from repro.core.intervals import Interval
-from repro.core.mechanism import EnkiMechanism
 from repro.core.types import HouseholdType, Neighborhood, Preference
 from repro.theory.bestresponse import best_response_sweep, candidate_windows
 from repro.theory.properties import (
