@@ -6,10 +6,6 @@ shape: the two series track each other closely (the paper reports the
 differences "are not large").
 """
 
-import random
-
-import numpy as np
-
 from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator
 from repro.sim.engine import SocialWelfareStudy

@@ -60,7 +60,7 @@ class CompiledProblem:
     """
 
     items: Tuple[AllocationItem, ...]
-    ids: Tuple[HouseholdId, ...]
+    ids: Sequence[HouseholdId]
     sigma: Optional[float]
     win_start: np.ndarray
     win_end: np.ndarray
@@ -166,8 +166,11 @@ class CompiledProblem:
         are materialized, and the per-item begin-candidate index vectors
         are deferred until a consumer (the exact solver, the hill climber)
         actually reads them — the greedy placement sweep never does, so
-        compiling a greedy day is a handful of vectorized passes.
+        compiling a greedy day is a handful of vectorized passes.  A
+        :class:`~repro.core.columnar.RowIds` id vector is kept as it is.
         """
+        from ..core.columnar import id_vector  # core.columnar imports this module
+
         win_start = np.ascontiguousarray(win_start, dtype=np.intp)
         win_end = np.ascontiguousarray(win_end, dtype=np.intp)
         duration = np.ascontiguousarray(duration, dtype=np.intp)
@@ -181,10 +184,9 @@ class CompiledProblem:
                 f"fit duration {int(duration[bad])} (household {ids[bad]!r})"
             )
         sigma = pricing.sigma if isinstance(pricing, QuadraticPricing) else None
-        ids = tuple(ids)
         return cls(
             items=(),
-            ids=ids,
+            ids=id_vector(ids),
             sigma=sigma,
             win_start=win_start,
             win_end=win_end,

@@ -9,6 +9,15 @@ vector, and lowers reports straight into the allocators'
 :class:`~repro.allocation.arrays.CompiledProblem` without materializing a
 single ``HouseholdType`` or ``Report``.
 
+A sampled population's ids are ``f"{prefix}{row:0{width}d}"``, and
+:class:`RowIds` keeps that recipe — a prefix, a width and the rows —
+instead of the strings.  Enki never reads an id to settle a row (Eqs. 3-8
+read windows, durations and ratings), so a columnar day subsets, compares
+and pickles such ids without spelling one: a 31,250-row city shard
+crosses to a worker as its columns plus a recipe of a few dozen bytes.
+Ids given as a tuple (the object bridges) stay tuples; :func:`id_vector`
+is the one place that chooses between the two.
+
 Both representations describe the same mechanism; ``to_objects()`` /
 ``from_objects()`` bridge between them, and
 ``tests/test_columnar_equivalence.py`` pins that a day computed on either
@@ -17,8 +26,9 @@ path is bit-identical on identical inputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +42,109 @@ from .types import (
     Preference,
     Report,
 )
+
+
+#: A RowIds' rows: ``range(size)`` for a whole population, else an index array.
+_Rows = Union[range, np.ndarray]
+
+
+class RowIds(Sequence[str]):
+    """The ids ``f"{prefix}{row:0{width}d}"`` of ``rows``, spelled on demand.
+
+    ``RowIds(prefix, size)`` names the rows of a sampled population of
+    ``size`` households, ``width`` being the digits of ``size - 1``.  It
+    behaves as the tuple of its strings — ``len``, indexing (negative
+    indices and slices included), iteration in row order, and ``==``,
+    ``!=`` and ``hash`` against tuples — but holds only the recipe:
+    ``rows`` is a ``range`` or a read-only index array, :meth:`take`
+    subsets it with an index array, and it pickles as the recipe.  Two
+    vectors with one prefix and width compare by their rows alone.
+    """
+
+    __slots__ = ("prefix", "width", "rows")
+
+    def __init__(self, prefix: str, size: int) -> None:
+        self._adopt(prefix, len(str(size - 1)), range(size))
+
+    def _adopt(self, prefix: str, width: int, rows: _Rows) -> "RowIds":
+        if not isinstance(rows, range):
+            rows = np.asarray(rows, dtype=np.intp)
+            rows.flags.writeable = False
+        for name, value in (("prefix", prefix), ("width", width), ("rows", rows)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"RowIds is immutable; cannot set {name!r}")
+
+    def __reduce__(self):
+        return _row_ids, (self.prefix, self.width, self.rows)
+
+    def __repr__(self) -> str:
+        return f"RowIds({self.prefix!r}, width={self.width}, rows={self.rows!r})"
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _row_ids(self.prefix, self.width, self.rows[index])
+        row = int(self.rows[operator.index(index)])
+        return self.prefix + str(row).zfill(self.width)
+
+    def __iter__(self) -> Iterator[str]:
+        # zfill spells a row >= 0 as the f-string does, in half the time.
+        prefix, width = self.prefix, self.width
+        rows = self.rows if isinstance(self.rows, range) else self.rows.tolist()
+        return (prefix + str(row).zfill(width) for row in rows)
+
+    def take(self, idx: np.ndarray) -> "RowIds":
+        """The ids of rows ``idx`` (an index array) of this vector."""
+        return _row_ids(self.prefix, self.width, _row_array(self.rows)[idx])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RowIds):
+            if len(self) != len(other):
+                return False
+            if self.prefix != other.prefix or self.width != other.width:
+                return tuple(self) == tuple(other)
+            # One prefix, one width: the strings are equal iff the rows are.
+            if isinstance(self.rows, range) and isinstance(other.rows, range):
+                return self.rows == other.rows
+            return bool(np.array_equal(_row_array(self.rows), _row_array(other.rows)))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def _row_ids(prefix: str, width: int, rows: _Rows) -> RowIds:
+    """The :class:`RowIds` of a recipe; subsets and unpickling build through it."""
+    return RowIds.__new__(RowIds)._adopt(prefix, width, rows)
+
+
+def _row_array(rows: _Rows) -> np.ndarray:
+    if isinstance(rows, range):
+        return np.arange(rows.start, rows.stop, rows.step, dtype=np.intp)
+    return rows
+
+
+def id_vector(
+    ids: Sequence[HouseholdId], idx: Optional[np.ndarray] = None
+) -> Sequence[HouseholdId]:
+    """``ids`` — or its rows ``idx``, an index array — as an immutable vector.
+
+    The one choice between the two id representations: a :class:`RowIds`
+    stays a recipe and subsets by its row array; any other sequence
+    becomes the tuple of its ids.
+    """
+    if isinstance(ids, RowIds):
+        return ids if idx is None else ids.take(idx)
+    if idx is None:
+        return tuple(ids)
+    return tuple(ids[i] for i in idx.tolist())
 
 
 def _as_index_array(values, name: str) -> np.ndarray:
@@ -68,7 +181,7 @@ class ColumnarNeighborhood:
     the neighborhood's insertion order; ``ids[i]`` names row ``i``.
     """
 
-    ids: Tuple[HouseholdId, ...]
+    ids: Sequence[HouseholdId]
     true_start: np.ndarray
     true_end: np.ndarray
     duration: np.ndarray
@@ -89,7 +202,8 @@ class ColumnarNeighborhood:
         for name in ("true_start", "true_end", "duration", "rating", "valuation"):
             if getattr(self, name).shape[0] != n:
                 raise ValueError(f"{name} has {getattr(self, name).shape[0]} rows for {n} ids")
-        if len(set(self.ids)) != n:
+        # A RowIds' rows are distinct by construction.
+        if not isinstance(self.ids, RowIds) and len(set(self.ids)) != n:
             raise ValueError("duplicate household ids in columnar neighborhood")
         _check_windows(self.true_start, self.true_end, self.duration, "true preference")
         if n and (float(self.rating.min()) <= 0 or float(self.valuation.min()) <= 0):
@@ -97,6 +211,22 @@ class ColumnarNeighborhood:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        """Unpickle without re-validating, each column in its canonical dtype.
+
+        Pickle rebuilds an array's dtype as a new instance, equal to
+        numpy's own but not identical, and ``np.add.at`` (the settlement's
+        load profile) leaves its fast path on such values, tens of times
+        slower (see ``docs/performance.md``).  ``np.asarray`` converts a
+        column only if it must, and ``view`` gives it numpy's own dtype
+        instance, which ``np.asarray`` alone need not do, without a copy.
+        """
+        self.__dict__.update(state)
+        for name in ("true_start", "true_end", "duration"):
+            self.__dict__[name] = np.asarray(state[name], np.intp).view(np.intp)
+        for name in ("rating", "valuation"):
+            self.__dict__[name] = np.asarray(state[name], np.float64).view(np.float64)
 
     @classmethod
     def from_objects(cls, neighborhood: Neighborhood) -> "ColumnarNeighborhood":
@@ -144,7 +274,7 @@ class ColumnarNeighborhood:
         if len(idx) == len(self):
             return self
         return ColumnarNeighborhood(
-            ids=tuple(self.ids[i] for i in idx.tolist()),
+            ids=id_vector(self.ids, idx),
             true_start=self.true_start[idx],
             true_end=self.true_end[idx],
             duration=self.duration[idx],
@@ -184,7 +314,7 @@ class ColumnarReports:
     and the bridges).
     """
 
-    ids: Tuple[HouseholdId, ...]
+    ids: Sequence[HouseholdId]
     start: np.ndarray
     end: np.ndarray
     duration: np.ndarray
@@ -215,7 +345,7 @@ class ColumnarReports:
     @classmethod
     def from_trusted(
         cls,
-        ids: Tuple[HouseholdId, ...],
+        ids: Sequence[HouseholdId],
         start: np.ndarray,
         end: np.ndarray,
         duration: np.ndarray,
@@ -285,7 +415,7 @@ class ColumnarReports:
         """The subset of rows selected by boolean mask ``keep``."""
         idx = np.flatnonzero(keep)
         return ColumnarReports(
-            ids=tuple(self.ids[i] for i in idx.tolist()),
+            ids=id_vector(self.ids, idx),
             start=self.start[idx],
             end=self.end[idx],
             duration=self.duration[idx],

@@ -32,7 +32,7 @@ from ..pricing.load_profile import LoadProfile
 from ..pricing.quadratic import QuadraticPricing
 from ..robustness.errors import InvalidReportError
 from ..robustness.quarantine import Quarantine
-from .columnar import ColumnarNeighborhood, ColumnarReports
+from .columnar import ColumnarNeighborhood, ColumnarReports, id_vector
 from .defection import defection_vector
 from .flexibility import flexibility_vector
 from .intervals import Interval, IntervalError
@@ -221,7 +221,7 @@ class ColumnarSettlement:
     computation by construction).
     """
 
-    ids: Tuple[HouseholdId, ...]
+    ids: Sequence[HouseholdId]
     total_cost: float
     flexibility: np.ndarray
     defection: np.ndarray
@@ -525,7 +525,7 @@ class EnkiMechanism:
 
     def settle_arrays(
         self,
-        ids: Tuple[HouseholdId, ...],
+        ids: Sequence[HouseholdId],
         alloc_starts: np.ndarray,
         alloc_ends: np.ndarray,
         cons_starts: np.ndarray,
@@ -575,7 +575,7 @@ class EnkiMechanism:
         ) / (alloc_ends - alloc_starts)
 
         return ColumnarSettlement(
-            ids=tuple(ids),
+            ids=id_vector(ids),
             total_cost=total_cost,
             flexibility=flexibility_arr,
             defection=defection_arr,
@@ -638,7 +638,9 @@ class EnkiMechanism:
         consumption: truthful reports when ``reports`` is omitted, screened
         like wire rows (see :meth:`run_day_columnar_raw`; typed rows pass a
         clean screen unchanged), and the whole Eq. 3-8 settlement batched.
-        No per-household objects exist at any point.
+        On a clean day no per-household object is built; with a sampled
+        population's :class:`~repro.core.columnar.RowIds` that includes
+        the id strings, none of which is ever spelled.
         """
         if reports is None:
             begin, end, duration = neighborhood.truthful_wire()

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..core.columnar import ColumnarNeighborhood, ColumnarReports
+from ..core.columnar import ColumnarNeighborhood, ColumnarReports, id_vector
 from ..core.intervals import HOURS_PER_DAY, Interval
 from ..core.types import HouseholdId, HouseholdType, Neighborhood, Preference, Report
 from .errors import InvalidReportError
@@ -463,12 +463,9 @@ class Quarantine:
                     )
 
         idx = np.flatnonzero(keep)
-        if len(idx) == len(neighborhood):
-            ids = neighborhood.ids
-        else:
-            ids = tuple(neighborhood.ids[i] for i in idx.tolist())
+        ids = neighborhood.ids
         accepted = ColumnarReports(
-            ids=ids,
+            ids=ids if len(idx) == n else id_vector(ids, idx),
             start=out_begin[idx],
             end=out_end[idx],
             duration=metered[idx].copy(),

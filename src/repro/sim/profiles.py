@@ -23,15 +23,15 @@ also start earlier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..core.columnar import ColumnarNeighborhood
+from ..core.columnar import ColumnarNeighborhood, RowIds
 from ..core.intervals import HOURS_PER_DAY, Interval
 from ..core.types import (
     DEFAULT_RATING_KW,
+    HouseholdId,
     HouseholdType,
     Neighborhood,
     Preference,
@@ -124,12 +124,13 @@ class ColumnarProfiles:
     """A sampled population as parallel arrays, one row per household.
 
     The columnar twin of a ``List[UsageProfile]``; rows keep the sampled
-    order (ids are ``hh000...``), and the same Section VI distributional
+    order (ids are ``hh000...``, a :class:`~repro.core.columnar.RowIds`
+    when sampled), and the same Section VI distributional
     invariants hold per row.  ``to_neighborhood`` selects the true window
     the way :meth:`UsageProfile.as_household` does.
     """
 
-    ids: Tuple[str, ...]
+    ids: Sequence[HouseholdId]
     narrow_start: np.ndarray
     narrow_end: np.ndarray
     wide_start: np.ndarray
@@ -273,9 +274,8 @@ class ProfileGenerator:
         is established on *identical inputs* via the bridges, not at the
         sampler.
 
-        The id tuple is a pure function of ``(id_prefix, size)`` and is
-        memoized (:func:`_population_ids`), so consecutive days of one
-        population size share one tuple and its strings' cached hashes.
+        The ids are :class:`~repro.core.columnar.RowIds` — the object
+        path's strings, each spelled only when read.
         """
         if size < 1:
             raise ValueError(f"population size must be >= 1, got {size}")
@@ -302,7 +302,7 @@ class ProfileGenerator:
 
         valuation = rng.uniform(cfg.min_valuation, cfg.max_valuation, size=size)
         return ColumnarProfiles(
-            ids=_population_ids(id_prefix, size),
+            ids=RowIds(id_prefix, size),
             narrow_start=narrow_begin,
             narrow_end=narrow_end,
             wide_start=wide_begin,
@@ -311,13 +311,6 @@ class ProfileGenerator:
             rating=np.full(size, cfg.rating_kw, dtype=np.float64),
             valuation=valuation,
         )
-
-
-@lru_cache(maxsize=1)
-def _population_ids(id_prefix: str, size: int) -> Tuple[str, ...]:
-    """The stable ids of a population: ``id_prefix`` plus a padded index."""
-    width = len(str(size - 1))
-    return tuple(f"{id_prefix}{index:0{width}d}" for index in range(size))
 
 
 def neighborhood_from_profiles(

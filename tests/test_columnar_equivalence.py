@@ -24,7 +24,7 @@ from repro.allocation.arrays import CompiledProblem, compile_problem
 from repro.allocation.base import AllocationItem, AllocationProblem
 from repro.allocation.greedy import GreedyFlexibilityAllocator
 from repro.allocation.optimal import BranchAndBoundAllocator
-from repro.core.columnar import ColumnarNeighborhood, ColumnarReports
+from repro.core.columnar import ColumnarNeighborhood, ColumnarReports, RowIds
 from repro.core.intervals import Interval
 from repro.core.mechanism import EnkiMechanism
 from repro.core.types import HouseholdType, Neighborhood, Preference
@@ -372,7 +372,7 @@ class TestColumnarSampler:
         assert np.all(a.narrow_end - a.narrow_start >= a.duration)
         assert np.all(a.duration >= 1)
 
-    def test_id_tuple_is_shared_per_prefix_and_size(self):
+    def test_ids_are_one_recipe_per_prefix_and_size(self):
         generator = ProfileGenerator()
 
         def ids(seed, size, prefix="hh"):
@@ -381,9 +381,11 @@ class TestColumnarSampler:
             ).ids
 
         first = ids(1, 50)
-        assert ids(2, 50) is first
-        assert ids(3, 50, prefix="s1-hh") is not first
-        assert ids(4, 51) is not first
+        assert isinstance(first, RowIds)
+        assert (first.prefix, first.width, first.rows) == ("hh", 2, range(50))
+        assert ids(2, 50) == first
+        assert ids(3, 50, prefix="s1-hh") != first
+        assert ids(4, 51) != first
 
     def test_round_trip_through_objects(self):
         generator = ProfileGenerator()
