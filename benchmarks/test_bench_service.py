@@ -202,7 +202,7 @@ def test_bench_ingest_n1m(bench_json, gate_note):
     )
     latencies = []
     started = time.perf_counter()
-    ingestor.register(0, job, neighborhood.ids, assume_canonical_ids=True)
+    ingestor.register(0, job, neighborhood.ids)
     for chunk in chunks:
         chunk_started = time.perf_counter()
         ingestor.submit(chunk)

@@ -98,6 +98,26 @@ class RowIds(Sequence[str]):
         rows = self.rows if isinstance(self.rows, range) else self.rows.tolist()
         return (prefix + str(row).zfill(width) for row in rows)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """``np.asarray(tuple(self))``, written one code-point column at a time.
+
+        Every row is below ``10**width``: each id is the prefix and ``width`` digits.
+        """
+        if copy is False:
+            raise ValueError("RowIds are spelled into a new array, never a view")
+        rows = _row_array(self.rows)
+        if rows.shape[0] == 0:
+            spelled = np.asarray(())
+        else:
+            head = len(self.prefix)
+            chars = np.empty((rows.shape[0], head + self.width), dtype=np.uint32)
+            chars[:, :head] = [ord(char) for char in self.prefix]
+            for col in range(head + self.width - 1, head - 1, -1):
+                rows, digit = np.divmod(rows, 10)
+                chars[:, col] = digit + ord("0")
+            spelled = chars.view((np.str_, head + self.width)).reshape(-1)
+        return spelled if dtype is None else spelled.astype(dtype, copy=False)
+
     def take(self, idx: np.ndarray) -> "RowIds":
         """The ids of rows ``idx`` (an index array) of this vector."""
         return _row_ids(self.prefix, self.width, _row_array(self.rows)[idx])

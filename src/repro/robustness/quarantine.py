@@ -185,7 +185,7 @@ def malformed_mask(
     (NaN compares unequal to everything, so ``x != trunc(x)`` also catches
     it; ``~isfinite`` keeps the intent explicit.)  Shared by
     :meth:`Quarantine.screen_columnar` at settlement and by the streaming
-    ingestor's flush-time admission screen, so both flag exactly the same
+    ingestor's seal-time admission screen, so both flag exactly the same
     rows.
     """
     with np.errstate(invalid="ignore"):

@@ -107,9 +107,7 @@ def _serve_city_stream(
             service.register_stream_shard(index, None)
             continue
         neighborhood, shard_seed = sample_shard(root, index, size, generator)
-        service.register_stream_shard(
-            index, neighborhood, seed=shard_seed, assume_canonical_ids=True
-        )
+        service.register_stream_shard(index, neighborhood, seed=shard_seed)
         begin, end, duration = neighborhood.truthful_wire()
         streams.append((
             index,

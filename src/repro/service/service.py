@@ -313,10 +313,11 @@ class ShardService:
         incomplete stream never blocks :meth:`drain`, and no row is
         written after the job is queued.
 
-        ``assume_canonical_ids`` lets a caller that *generated* the ids
-        (the city driver) vouch for the canonical ``s<index>-hh<row>``
-        scheme and skip the verifying parse; leave it off for ids of
-        unknown provenance.
+        Ids register without a parse when they are the canonical
+        ``s<index>-hh<row>`` :class:`~repro.core.columnar.RowIds` that
+        :func:`~repro.service.city.sample_shard` draws, or when the caller
+        vouches for that scheme with ``assume_canonical_ids``; leave it
+        off for ids of unknown provenance.
 
         Returns ``True`` when the shard was replayed from the journal
         (rows streamed for it will be dropped as already-settled),

@@ -13,18 +13,20 @@ settlements — without ever building a per-report object graph:
   :class:`ReportChunk` at array-slice cost.  The buffer is the
   micro-batch: nothing downstream sees individual reports.
 * A vectorized **shard router** — canonical city ids
-  (``s<shard>-hh<row>``, zero-padded rows) are parsed by a columnar
-  state machine over the id characters (no per-row Python, no regex),
-  yielding ``(shard, row)`` for every report in a batch at once.  The
-  parse is *verifying*: digit counts and leading-zero checks prove the
-  id reconstructs exactly, so a lookalike id can never misroute.
-  Exotic ids fall back to a per-shard dictionary built at registration.
+  (``s<shard>-hh<row>``, zero-padded rows) are parsed in a few array
+  passes per id *layout* (dash column and length), yielding
+  ``(shard, row)`` for a whole batch, which one stable sort then splits
+  by shard.  The parse is *verifying*: digit runs are capped at 18, which
+  an int64 holds without wrapping, so an id routes by the parse only if
+  it spells a registered canonical row's id exactly.  Every other id
+  falls back to a per-shard dictionary built at registration.
 * :class:`ShardAssembler` — one per registered shard: scatters routed
   micro-batch rows directly into the report arrays of the shard's
   :class:`~repro.service.shard.ShardJob` (NaN-filled at registration),
-  deduplicates, counts flush-time admission suspects via the same
+  keeping each row's first write, and seals when every row has arrived,
+  counting admission suspects with the same
   :func:`~repro.robustness.quarantine.malformed_mask` the settlement
-  quarantine applies, and seals when every row has arrived.
+  quarantine applies.
 * :class:`StreamIngestor` — the coalescer: flushes the builder on a
   size watermark, an age deadline, or shard completion; hands sealed
   shards' jobs to the service queue.  A job is queued only once sealed,
@@ -64,6 +66,7 @@ from typing import (
 
 import numpy as np
 
+from ..core.columnar import RowIds
 from ..robustness.errors import ServiceOverloadError
 from ..robustness.quarantine import RawReport, malformed_mask
 from .queue import BoundedIngestQueue
@@ -76,7 +79,14 @@ DEFAULT_FLUSH_ROWS = 8192
 DEFAULT_FLUSH_AGE_S = 0.25
 
 #: Character codes the id parser matches against.
-_ORD_S, _ORD_DASH, _ORD_H, _ORD_0, _ORD_9 = 115, 45, 104, 48, 57
+_ORD_S, _ORD_DASH, _ORD_H, _ORD_0 = 115, 45, 104, 48
+
+#: Longest shard or row digit run the parser accepts: any 18 digits fit an
+#: int64, so a longer run can never wrap into a registered index.
+_MAX_DIGITS = 18
+
+#: Longest canonical id: ``s``, a shard run, ``-hh`` and a row run.
+_MAX_ID_CHARS = 4 + 2 * _MAX_DIGITS
 
 
 def _wire_value(value: Any) -> float:
@@ -241,60 +251,72 @@ def parse_canonical_ids(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized verifying parse of canonical ``s<shard>-hh<row>`` ids.
 
-    Runs a columnar state machine over the id characters (the unicode
-    array viewed as a code-point matrix): per character column, a handful
-    of vectorized compares advance every row's phase at once — no per-row
-    Python, no regex.  Returns ``(shard, row, row_digits, ok)`` where
-    ``ok`` marks rows whose id is *exactly* canonical: leading ``s``,
-    shard digits with no leading zero (except ``0`` itself), the literal
-    ``-hh``, row digits, then nothing but padding.  Combined with the
-    registration-recorded row width, ``ok`` proves the id reconstructs
-    verbatim — a lookalike (wrong zero-padding, stray suffix) parses as
-    not-ok and falls back to dictionary routing instead of misrouting.
+    Returns ``(shard, row, row_digits, ok)``, zero where not ``ok``.
+    ``ok`` marks exactly the ids that match
+    ``s(0|[1-9][0-9]{0,17})-hh([0-9]{1,18})``; with the registered row
+    width it proves the id reconstructs verbatim, so a lookalike — wrong
+    zero-padding, a stray suffix, a digit run an int64 would wrap —
+    falls back to dictionary routing.
+
+    Rows are grouped by *layout*, the column of their ``-`` and their
+    length, keyed in one ``np.bincount``; each layout is verified on
+    code-point columns with three fixed-column compares and one digit
+    check per digit column, and its digit runs accumulate column by column.
     """
     n = ids.shape[0]
     shard = np.zeros(n, dtype=np.int64)
     row = np.zeros(n, dtype=np.int64)
     row_d = np.zeros(n, dtype=np.int16)
-    if n == 0 or ids.dtype.kind != "U":
-        return shard, row, row_d, np.zeros(n, dtype=bool)
-    width = ids.dtype.itemsize // 4
-    if width < 6:  # shortest canonical id is "s0-hh0"
-        return shard, row, row_d, np.zeros(n, dtype=bool)
-    chars = np.ascontiguousarray(ids).view(np.uint32).reshape(n, width)
-    ok = chars[:, 0] == _ORD_S
-    # Phases: 0 shard digits, 1/2 expecting 'h', 3 row digits, 4 padding.
-    phase = np.zeros(n, dtype=np.int8)
-    shard_d = np.zeros(n, dtype=np.int16)
-    lead_zero = chars[:, 1] == _ORD_0
-    for col in range(1, width):
-        c = chars[:, col]
-        digit = (c >= _ORD_0) & (c <= _ORD_9)
-        value = (c - _ORD_0).astype(np.int64)
-        p0 = phase == 0
-        p1 = phase == 1
-        p2 = phase == 2
-        p3 = phase == 3
-        p4 = phase == 4
-        in_shard = p0 & digit
-        in_row = p3 & digit
-        shard = np.where(in_shard, shard * 10 + value, shard)
-        row = np.where(in_row, row * 10 + value, row)
-        shard_d = shard_d + in_shard
-        row_d = row_d + in_row
-        dash = c == _ORD_DASH
-        nul = c == 0
-        bad = (
-            (p0 & ~digit & ~dash)
-            | ((p1 | p2) & (c != _ORD_H))
-            | (p3 & ~digit & ~nul)
-            | (p4 & ~nul)
+    ok = np.zeros(n, dtype=bool)
+    width = ids.dtype.itemsize // 4 if ids.dtype.kind == "U" else 0
+    if n == 0 or width < 6:  # shortest canonical id is "s0-hh0"
+        return shard, row, row_d, ok
+    chars = np.ascontiguousarray(ids, dtype=(np.str_, width)).view(np.uint32)
+    chars = chars.reshape(n, width)
+    width = min(width, _MAX_ID_CHARS)
+    # One contiguous uint8 vector per column; a code point above 255
+    # saturates to 255, which no canonical id holds.
+    cols = np.empty((width, n), dtype=np.uint8)
+    np.minimum(chars[:, :width].T, 255, out=cols, casting="unsafe")
+    digits = cols - _ORD_0  # every non-digit wraps above 9
+    dash = np.zeros(n, dtype=np.intp)
+    for col in range(2, min(width - 3, _MAX_DIGITS + 2)):
+        dash[cols[col] == _ORD_DASH] = col
+    # Count NULs from column 6 on: an id with an embedded NUL comes out
+    # shorter than its last character, so a column its layout checks
+    # holds that NUL and fails.
+    length = width - np.count_nonzero(cols[6:] == 0, axis=0)
+    if chars.shape[1] > width:  # nothing canonical runs past _MAX_ID_CHARS
+        length[np.any(chars[:, width:], axis=1)] = 0
+    key = dash * (width + 1) + length
+    for layout in np.flatnonzero(np.bincount(key)).tolist():
+        d, end = divmod(layout, width + 1)
+        if d < 2 or not d + 4 <= end <= d + 3 + _MAX_DIGITS:
+            continue
+        good = (
+            (key == layout)
+            & (cols[0] == _ORD_S)
+            & (cols[d + 1] == _ORD_H)
+            & (cols[d + 2] == _ORD_H)
+            & np.all(digits[1:d] <= 9, axis=0)
+            & np.all(digits[d + 3 : end] <= 9, axis=0)
         )
-        ok &= ~bad
-        phase = phase + (p0 & dash) + p1 + p2 + (p3 & nul)
-    ok &= (shard_d >= 1) & (row_d >= 1) & (phase >= 3)
-    ok &= ~(lead_zero & (shard_d > 1))
+        if d > 2:  # a shard of two or more digits has no leading zero
+            good &= cols[1] != _ORD_0
+        ok |= good
+        np.copyto(shard, _digit_value(digits[1:d]), where=good)
+        np.copyto(row, _digit_value(digits[d + 3 : end]), where=good)
+        np.copyto(row_d, end - d - 3, where=good)
     return shard, row, row_d, ok
+
+
+def _digit_value(digits: np.ndarray) -> np.ndarray:
+    """The numbers spelled by a run of digit columns, most significant first."""
+    value = digits[0].astype(np.int64)
+    for column in digits[1:]:
+        value *= 10
+        value += column
+    return value
 
 
 class ShardAssembler:
@@ -302,12 +324,11 @@ class ShardAssembler:
 
     Writes routed rows straight into the job's ``begin``/``end``/
     ``duration`` arrays — after the scatter there is no further copy
-    before the job is pickled for its worker.  Tracks
-    fill state for exactly-once semantics (within-batch and cross-batch
-    duplicates are dropped, first write wins) and counts flush-time
-    admission *suspects* — rows the settlement quarantine will flag,
-    detected here with the same vectorized
-    :func:`~repro.robustness.quarantine.malformed_mask`.
+    before the job is pickled for its worker.  Tracks fill state for
+    exactly-once semantics (within-batch and cross-batch duplicates are
+    dropped, first write wins) and, on sealing, counts admission
+    *suspects* — rows the settlement quarantine will flag — with the same
+    vectorized :func:`~repro.robustness.quarantine.malformed_mask`.
     """
 
     def __init__(self, index: int, job: ShardJob, width: int) -> None:
@@ -336,37 +357,37 @@ class ShardAssembler:
         """Write a routed micro-batch slice; returns rows newly filled."""
         if self.sealed:
             raise RuntimeError(f"shard {self.index} is sealed")
-        unique_rows, first_seen = np.unique(rows, return_index=True)
-        fresh = ~self._filled[unique_rows]
-        keep = unique_rows[fresh]
-        src = first_seen[fresh]
+        filled = self._filled
+        was = filled[rows]
+        filled[rows] = True
+        keep, src = rows, slice(None)
+        if was.any() or np.count_nonzero(filled) != self.count + rows.shape[0]:
+            # A repeated or already-filled row: keep each row's first write.
+            filled[rows] = was
+            unique_rows, first_seen = np.unique(rows, return_index=True)
+            fresh = ~filled[unique_rows]
+            keep, src = unique_rows[fresh], first_seen[fresh]
+            filled[keep] = True
         self.duplicates += int(rows.shape[0] - keep.shape[0])
-        if keep.shape[0] == 0:
-            return 0
-        kept_begin = begin[src]
-        kept_end = end[src]
-        kept_duration = duration[src]
         job = self.job
-        job.begin[keep] = kept_begin
-        job.end[keep] = kept_end
-        job.duration[keep] = kept_duration
-        self._filled[keep] = True
+        job.begin[keep] = begin[src]
+        job.end[keep] = end[src]
+        job.duration[keep] = duration[src]
         self.count += int(keep.shape[0])
-        self.suspects += int(
-            np.count_nonzero(
-                malformed_mask(
-                    kept_begin,
-                    kept_end,
-                    kept_duration,
-                    job.neighborhood.duration[keep],
-                )
-            )
-        )
         return int(keep.shape[0])
 
     def seal(self) -> None:
-        """Freeze the shard: its job is queue-bound, late rows bounce."""
+        """Freeze the shard: its job is queue-bound, late rows bounce.
+
+        Every row was written once, so one screen of the sealed arrays
+        counts what screening each scattered slice would have summed.
+        """
         self.sealed = True
+        job = self.job
+        flagged = malformed_mask(
+            job.begin, job.end, job.duration, job.neighborhood.duration
+        )
+        self.suspects = int(np.count_nonzero(flagged))
 
 
 @dataclass
@@ -451,14 +472,16 @@ class StreamIngestor:
     ) -> int:
         """Record how shard ``index``'s ids route; returns canonical width.
 
-        With ``assume_canonical`` the caller vouches the ids are the
-        generated ``s<index>-hh<row>`` scheme (the city driver constructs
-        them itself); otherwise one vectorized parse verifies it, and
-        non-canonical shards get a dictionary instead.
+        The ids are the generated ``s<index>-hh<row>`` scheme without a
+        parse when the caller vouches for it (``assume_canonical``) or when
+        they are that scheme's :class:`~repro.core.columnar.RowIds` (prefix
+        ``s<index>-hh``, rows ``0..n-1``); otherwise one vectorized parse
+        verifies them, and non-canonical shards get a dictionary instead.
         """
         n = len(ids)
         width = len(str(max(1, n) - 1))
-        if not assume_canonical:
+        generated = isinstance(ids, RowIds) and ids.prefix == f"s{index}-hh"
+        if not (assume_canonical or generated and ids == RowIds(ids.prefix, n)):
             arr = np.asarray(ids)
             shard, row, row_d, ok = parse_canonical_ids(arr)
             canonical = (
@@ -592,11 +615,12 @@ class StreamIngestor:
         shard, row, row_d, ok = parse_canonical_ids(ids)
         capacity = self._reg_n.shape[0]
         if capacity:
-            clipped = np.clip(shard, 0, capacity - 1)
+            # The parse never yields a negative shard or row, so a row
+            # below its shard's registered count also finds it registered.
+            clipped = np.minimum(shard, capacity - 1)
             routed = (
                 ok
                 & (shard < capacity)
-                & (self._reg_n[clipped] > 0)
                 & (row < self._reg_n[clipped])
                 & (row_d == self._reg_w[clipped])
             )
@@ -619,9 +643,21 @@ class StreamIngestor:
                     -1,
                     {"count": unknown, "reason": "unknown-household"},
                 )
-        for index in np.unique(shard[routed]).tolist():
-            mask = routed & (shard == index)
-            count = int(np.count_nonzero(mask))
+        # One stable split: shards ascending, arrival order kept within a
+        # shard, which is what first-write-wins and the seal order read.
+        picked = np.flatnonzero(routed)
+        keys = shard[picked]
+        picked = picked[
+            np.argsort(keys.astype(np.min_scalar_type(capacity)), kind="stable")
+        ]
+        counts = np.bincount(keys, minlength=capacity)
+        edges = np.concatenate(([0], np.cumsum(counts))).tolist()
+        row, begin, end, duration = (
+            row[picked], begin[picked], end[picked], duration[picked]
+        )
+        for index in np.flatnonzero(counts).tolist():
+            lo, hi = edges[index], edges[index + 1]
+            count = hi - lo
             if index in self._replayed:
                 self.stats.replay_dropped += count
                 continue
@@ -634,9 +670,10 @@ class StreamIngestor:
                     {"count": count, "reason": "shard-sealed"},
                 )
                 continue
-            before_duplicates = assembler.duplicates
-            assembler.scatter(row[mask], begin[mask], end[mask], duration[mask])
-            self.stats.duplicates += assembler.duplicates - before_duplicates
+            fresh = assembler.scatter(
+                row[lo:hi], begin[lo:hi], end[lo:hi], duration[lo:hi]
+            )
+            self.stats.duplicates += count - fresh
             if assembler.complete:
                 assembler.seal()
                 self._ready.append(index)

@@ -164,6 +164,31 @@ class TestRecipe:
         assert type(id_vector(spelled_ids, idx)) is tuple
 
 
+class TestAsArray:
+    """``np.asarray`` on a RowIds builds what it builds from the tuple."""
+
+    @pytest.mark.parametrize("size", [0, 1, 10, 11, 31_250])
+    @pytest.mark.parametrize("prefix", ["s7-hh", "", "\u03b2\u03bb-\u0663"])
+    def test_equals_the_array_of_the_tuple(self, prefix, size):
+        ids = RowIds(prefix, size)
+        for vector in (ids, ids.take(np.arange(size)[::-3]), ids[1::2]):
+            expected = np.asarray(tuple(vector))
+            spelled_out = np.asarray(vector)
+            assert spelled_out.dtype == expected.dtype
+            assert np.array_equal(spelled_out, expected)
+
+    def test_honours_dtype_and_copy(self):
+        ids = RowIds("s3-hh", 11).take(np.array([10, 0, 7]))
+        for dtype in (object, "U20", "U4"):
+            expected = np.asarray(tuple(ids), dtype=dtype)
+            spelled_out = np.asarray(ids, dtype=dtype)
+            assert spelled_out.dtype == expected.dtype
+            assert spelled_out.tolist() == expected.tolist()
+        assert np.array(ids, copy=True).tolist() == list(ids)
+        with pytest.raises(ValueError):
+            ids.__array__(copy=False)
+
+
 # ------------------------------------------------- crossing a process boundary
 
 _INDEX_COLUMNS = ("true_start", "true_end", "duration")
@@ -201,7 +226,7 @@ def test_pickled_neighborhood_arrives_with_canonical_dtypes(kind):
 
 
 def _no_spelling(*args, **kwargs):
-    raise AssertionError("a RowIds was iterated or hashed")
+    raise AssertionError("a RowIds was iterated, hashed or spelled as an array")
 
 
 def _malformed_wire(neighborhood):
@@ -219,7 +244,7 @@ def _settled(job, policy):
 
 
 class TestNoIdIsSpelled:
-    """A columnar day and a shard settle never iterate or hash their ids."""
+    """A columnar day and a shard settle never iterate, hash or array their ids."""
 
     def test_columnar_day(self, monkeypatch):
         neighborhood = _sampled()
@@ -234,6 +259,7 @@ class TestNoIdIsSpelled:
         expected = day()
         monkeypatch.setattr(RowIds, "__iter__", _no_spelling)
         monkeypatch.setattr(RowIds, "__hash__", _no_spelling)
+        monkeypatch.setattr(RowIds, "__array__", _no_spelling)
         assert day() == expected
 
     @pytest.mark.parametrize("policy", ["clamp", "exclude"])
@@ -246,4 +272,5 @@ class TestNoIdIsSpelled:
             assert 0 < expected[3] < 2000       # n_quarantined
         monkeypatch.setattr(RowIds, "__iter__", _no_spelling)
         monkeypatch.setattr(RowIds, "__hash__", _no_spelling)
+        monkeypatch.setattr(RowIds, "__array__", _no_spelling)
         assert _settled(job, policy) == expected

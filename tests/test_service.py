@@ -867,7 +867,8 @@ class TestStreamedFlood:
             for event in log.events("stream_shard_complete")
         }
         assert set(completions) == {0, 1, 2}
-        assert completions[1]["suspect_rows"] > 0  # flagged at flush time
+        # Counted as the shard sealed: exactly the rows the quarantine took.
+        assert completions[1]["suspect_rows"] == flood.n_quarantined
         assert completions[0]["suspect_rows"] == 0
         settled_days = [event.day for event in log.events("shard_settled")]
         assert sorted(settled_days) == [0, 1, 2]

@@ -12,6 +12,8 @@ resume.  No report is lost, none is double-counted.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,12 @@ from repro.mechanisms.enki import serving_mechanism
 from repro.robustness.chaos import ChaosInjector, ChaosPlan, ServiceChaosPlan
 from repro.robustness.checkpoint import CheckpointStore
 from repro.robustness.errors import ServiceInterrupted, ServiceOverloadError
-from repro.robustness.quarantine import RawReport
+from repro.robustness.quarantine import RawReport, malformed_mask
 from repro.service import (
     BoundedIngestQueue,
     ColumnarReportBuilder,
     ReportChunk,
+    ShardAssembler,
     ShardJob,
     ShardService,
     StreamIngestor,
@@ -35,12 +38,42 @@ from repro.service import (
     serve_city,
     shard_sizes,
 )
+from repro.service import stream as stream_module
 from repro.sim.rng import root_entropy
 
 SEED = 2214
 
 
 # ----------------------------------------------------------------- parser
+
+#: What the parser must accept, and nothing else: runs of at most 18
+#: ASCII digits, which an int64 holds without wrapping.
+_CANONICAL = re.compile(r"s(0|[1-9][0-9]{0,17})-hh([0-9]{1,18})")
+
+
+def _digit_run(alphabet="0123456789"):
+    return st.text(alphabet=alphabet, max_size=20)
+
+
+_IDS = st.one_of(
+    st.builds(
+        lambda shard, row, width: f"s{shard}-hh{row:0{width}d}",
+        st.integers(0, 10**18 - 1) | st.integers(0, 40),
+        st.integers(0, 10**18 - 1) | st.integers(0, 40),
+        st.integers(1, 18),
+    ),
+    # Lookalikes: 19-20 digit runs, leading-zero shards, non-ASCII
+    # digits, embedded NULs, stray separators and suffixes.
+    st.tuples(
+        st.sampled_from(["s", "S", "", "ss"]),
+        _digit_run() | _digit_run("01\u0663\uff11"),
+        st.sampled_from(["-hh", "-h", "-hhh", "--hh", "\x00-hh", "-h\x00h", "_hh"]),
+        _digit_run() | _digit_run("09\u0663\x00"),
+        st.sampled_from(["", "\x00", "\x007", "x", "\u0663", "\x00" * 40 + "7"]),
+    ).map("".join),
+    st.text(max_size=12),
+)
+
 
 class TestCanonicalIdParser:
     def test_parses_generated_scheme(self):
@@ -76,6 +109,27 @@ class TestCanonicalIdParser:
     def test_non_unicode_input_is_all_not_ok(self):
         _, _, _, ok = parse_canonical_ids(np.asarray([b"s1-hh0"]))
         assert not bool(ok.any())
+
+    @settings(max_examples=200, deadline=None)
+    @given(ids=st.lists(_IDS, min_size=1, max_size=30), pad=st.integers(0, 45))
+    def test_agrees_with_the_canonical_pattern(self, ids, pad):
+        # Mixed layouts and lookalikes in one batch, at itemsizes from
+        # the longest id up to past the longest canonical id.
+        itemsize = max(1, max(len(text) for text in ids) + pad)
+        arr = np.asarray(ids, dtype=(np.str_, itemsize))
+        shard, row, row_d, ok = parse_canonical_ids(arr)
+        swapped = parse_canonical_ids(arr.astype(arr.dtype.newbyteorder(">")))
+        for got, expected in zip(swapped, (shard, row, row_d, ok)):
+            np.testing.assert_array_equal(got, expected)
+        for i, text in enumerate(arr.tolist()):
+            match = _CANONICAL.fullmatch(text)
+            if match is None:
+                assert (ok[i], shard[i], row[i], row_d[i]) == (False, 0, 0, 0), text
+            else:
+                assert ok[i], text
+                assert (shard[i], row[i], row_d[i]) == (
+                    int(match[1]), int(match[2]), len(match[2])
+                ), text
 
 
 # ---------------------------------------------------------------- builder
@@ -239,6 +293,32 @@ class TestStreamIngestion:
             assert service.finish_streams() == ()
             assert _digests(service.drain()) == reference
 
+    def test_wrapping_lookalike_is_unknown_not_misrouted(self):
+        # 2**64 + 3 wraps to 3 in int64: a parse summing the digits there
+        # stored this report as shard 3's row 5 and then dropped the
+        # genuine s3-hh5 as a duplicate.
+        sizes = [10] * 4
+        reference = _batch_reference(self.ROOT, sizes)
+        with _service() as service:
+            chunks = []
+            for index, size in enumerate(sizes):
+                neighborhood, shard_seed = sample_shard(self.ROOT, index, size)
+                service.register_stream_shard(index, neighborhood, seed=shard_seed)
+                begin, end, duration = neighborhood.truthful_wire()
+                chunks.append(
+                    ReportChunk(np.asarray(neighborhood.ids), begin, end, duration)
+                )
+            lookalike = f"s{2**64 + 3}-hh5"
+            service.submit_reports(
+                RawReport(lookalike, 0.0, 24.0, float(chunks[3].duration[5]))
+            )
+            for chunk in chunks:
+                service.submit_reports(chunk)
+            assert service.finish_streams() == ()
+            assert service.stream_stats.unknown_rejected == 1
+            assert service.stream_stats.duplicates == 0
+            assert _digests(service.drain()) == reference
+
     def test_incomplete_shard_is_reported_never_settled(self):
         with _service() as service:
             neighborhood, shard_seed = sample_shard(self.ROOT, 0, 20)
@@ -363,6 +443,104 @@ class TestStreamIngestion:
             assert record.budget_balanced
 
 
+# ----------------------------------------------------------- registration
+
+def test_shard_recipe_registers_without_a_parse(monkeypatch):
+    # A shard's own ``s<index>-hh`` RowIds is canonical by construction;
+    # any other id vector is parsed, and routes through the dictionary
+    # when it is not that shard's scheme.
+    parsed = []
+
+    def counting_parse(ids):
+        parsed.append(len(ids))
+        return parse_canonical_ids(ids)
+
+    monkeypatch.setattr(stream_module, "parse_canonical_ids", counting_parse)
+    sealed = []
+    ingestor = StreamIngestor(
+        queue=BoundedIngestQueue(capacity=4),
+        enqueue=lambda index, job: sealed.append(index),
+        flush_age_s=None,
+    )
+    root = root_entropy(SEED)
+    chunks = []
+    for index, sampled_as in ((3, 3), (5, 4)):
+        neighborhood, shard_seed = sample_shard(root, sampled_as, 11)
+        nan = np.full(len(neighborhood), np.nan)
+        job = ShardJob(
+            index=index, neighborhood=neighborhood, seed=shard_seed,
+            begin=nan.copy(), end=nan.copy(), duration=nan.copy(),
+        )
+        ingestor.register(index, job, neighborhood.ids)
+        begin, end, duration = neighborhood.truthful_wire()
+        chunks.append(ReportChunk(np.asarray(neighborhood.ids), begin, end, duration))
+    assert parsed == [11]  # only shard 5's "s4-hh" ids
+    for chunk in chunks:
+        ingestor.submit(chunk)
+    ingestor.flush()
+    assert sealed == [3, 5]
+    assert ingestor.stats.unknown_rejected == 0
+
+
+# -------------------------------------------------------------- assembler
+
+class TestShardAssemblerScatter:
+    """Fresh, distinct batches are written as they are; any other batch
+    goes through ``np.unique``.  Both must keep the first write of every
+    row, and the seal counts what the quarantine will flag."""
+
+    N = 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batches=st.lists(
+            st.lists(st.integers(0, N - 1), max_size=2 * N)
+            | st.lists(st.integers(0, N - 1), unique=True, max_size=N)
+            | st.permutations(range(N)).map(list),
+            max_size=6,
+        ),
+        malformed=st.sets(st.integers(0, N - 1), max_size=3),
+    )
+    def test_first_write_wins_on_both_paths(self, batches, malformed):
+        neighborhood, shard_seed = sample_shard(root_entropy(SEED), 0, self.N)
+        _, end_t, duration_t = neighborhood.truthful_wire()
+        nan = np.full(self.N, np.nan)
+        job = ShardJob(
+            index=0, neighborhood=neighborhood, seed=shard_seed,
+            begin=nan.copy(), end=nan.copy(), duration=nan.copy(),
+        )
+        assembler = ShardAssembler(0, job, width=2)
+        first = {}
+        arrivals = 0
+        for batch in batches + [list(range(self.N))]:
+            rows = np.asarray(batch, dtype=np.int64)
+            # Arrival k reports begin k, or NaN for a malformed row.
+            stamp = np.arange(arrivals, arrivals + rows.shape[0], dtype=float)
+            arrivals += rows.shape[0]
+            begin = np.where(np.isin(rows, sorted(malformed)), np.nan, stamp)
+            end = end_t[rows]
+            duration = duration_t[rows]
+            new = 0
+            for row, value in zip(batch, begin.tolist()):
+                if row not in first:
+                    first[row] = value
+                    new += 1
+            assert assembler.scatter(rows, begin, end, duration) == new
+            assert assembler.count == len(first)
+            assert assembler.duplicates == arrivals - len(first)
+        assert assembler.complete
+        expected = np.asarray([first[row] for row in range(self.N)])
+        np.testing.assert_array_equal(job.begin, expected)
+        np.testing.assert_array_equal(job.end, end_t)
+        np.testing.assert_array_equal(job.duration, duration_t)
+        assembler.seal()
+        flagged = malformed_mask(job.begin, job.end, job.duration, neighborhood.duration)
+        assert flagged[sorted(malformed)].all()
+        assert assembler.suspects == int(np.count_nonzero(flagged))
+        with pytest.raises(RuntimeError, match="sealed"):
+            assembler.scatter(rows, begin, end, duration)
+
+
 # --------------------------------------------------------------- property
 
 class TestStreamEqualsBatchProperty:
@@ -424,6 +602,16 @@ class TestStreamedCity:
         )
         assert _digests(streamed) == _digests(batch)
         assert streamed.settled == 4
+
+    def test_mixed_layout_city_matches_batch_city(self):
+        # Shards 0-9 and 10-11 of 10 or 11 rows: the city's one flush
+        # holds ids of four layouts (s0-hh7, s2-hh07, s10-hh7, s11-hh07).
+        batch = serve_city(n=125, shards=12, workers=1, seed=SEED)
+        streamed = serve_city(
+            n=125, shards=12, workers=1, seed=SEED, stream=True, stream_chunk=7
+        )
+        assert _digests(streamed) == _digests(batch)
+        assert streamed.settled == 12
 
     def test_streamed_city_survives_kill_and_resumes_identically(
         self, tmp_path
