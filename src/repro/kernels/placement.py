@@ -8,7 +8,7 @@ arithmetic is exact, and otherwise the scalar sweep
 (:func:`_sweep_quadratic`: the float operations of the NumPy sweep it
 replaced, element for element); both give the same starts.  Other pricing
 models take :func:`_sweep_priced`.  ``docs/performance.md``, "Placement
-kernel", gives the exactness argument, the jump and cycle rules and the
+kernel", gives the exactness argument, the jump and lap rules and the
 measured crossover.
 """
 
@@ -29,7 +29,7 @@ from . import active_backend
 
 #: The run sweep pays for its per-run set-up once runs of identical rows
 #: average this many rows (docs/performance.md, "Placement kernel").
-MIN_MEAN_RUN = 12
+MIN_MEAN_RUN = 8
 
 #: Float64 represents every integer below this exactly.
 _EXACT_LIMIT = 2 ** 53
@@ -137,52 +137,67 @@ def _sweep_runs(
     Takes one entry per run (rating ``u`` in quanta) and returns every
     row's start, in processing order.  ``J`` placements at the first
     minimum ``s`` raise ``c[s] - c[t]`` by ``J·u·min(|t - s|, v)``, so one
-    step places the most rows that keep ``s`` the first minimum; once
-    ``c - min(c)`` repeats at a segment boundary, the segments since then
-    are tiled over the rest of the run.
+    step (:func:`_jump`) places the most rows that keep ``s`` the first
+    minimum; a run that one step places builds no lap state.  Otherwise
+    each step boundary is keyed by its gaps ``c - min(c)``, those above
+    ``u·v·J`` masked.  When a key repeats, the steps since its first
+    sighting form a lap: the unmasked gaps are back where they were,
+    :func:`_safe_laps` bounds how many more laps the masked ones let
+    repeat exactly, and those laps are tiled before stepping on.
     """
     load = [0] * HOURS_PER_DAY
+    # Rows as (start, count) segments.  A tiled block of laps is one
+    # segment, filled in from the lap before it once the rows are laid out:
+    # ``tiles`` holds its first row, the lap's rows and the block's rows.
     seg_starts: List[int] = []
     seg_counts: List[int] = []
+    tiles: List[Tuple[int, int, int]] = []
+    done = 0
     for a, b, v, u, left in zip(starts, ends, durations, units, lengths):
+        done += left
         prefix = [0, *accumulate(load)]
         c = [prefix[t + v] - prefix[t] for t in range(a, max(a, b - v) + 1)]
         width = len(c)
-        # rate[d]: what one row at s adds to c[s] - c[s ± d];
-        # wave[d + v - 1]: what it adds to c[s + d].
-        rate = [u * (d if d < v else v) for d in range(width)]
+        s, jump = _jump(c, u, v, left)
+        if jump == left:  # one step places the whole run
+            seg_starts.append(a + s)
+            seg_counts.append(left)
+            for h in range(a + s, a + s + v):
+                load[h] += left * u
+            continue
+        # wave[d + v - 1]: what one row at s adds to c[s + d].
         wave = [u * (v - abs(d)) for d in range(1 - v, v)]
         placed = [0] * HOURS_PER_DAY
+        uv = u * v
+        # The gaps at each step boundary since the last tiling, and the
+        # boundary and rows left at each key's latest sighting.
+        trail: List[List[int]] = []
         seen: Dict[Tuple[int, ...], Tuple[int, int]] = {}
         while left:
-            low = min(c)
-            s = c.index(low)
+            s, jump = _jump(c, u, v, left)
+            low = c[s]
             gap = [x - low for x in c]
-            # min(c) rises at most u·v per row: a larger gap cannot close
-            # before the run ends, so its value does not matter.
-            far = u * v * left
-            state = tuple([g if g <= far else -1 for g in gap])
-            if state in seen:
-                first, left_then = seen[state]
-                _tile(seg_starts, seg_counts, placed, first, left_then - left, left)
-                break
-            seen[state] = (len(seg_starts), left)
-            # more = J - 1, the least gap over its rate; an earlier
-            # candidate must stay strictly above c[s].
-            more = left - 1
-            for d in range(1, s + 1):
-                if not more:
-                    break
-                k = (gap[s - d] - 1) // rate[d]
-                if k < more:
-                    more = k
-            for d in range(1, width - s):
-                if not more:
-                    break
-                k = gap[s + d] // rate[d]
-                if k < more:
-                    more = k
-            jump = more + 1
+            cut = uv * jump
+            key = tuple([g if g <= cut else -1 for g in gap])
+            if key in seen:
+                first, left_then = seen[key]
+                lap = len(trail) - first
+                laps = _safe_laps(key, gap, trail[first:], seg_counts[-lap:], uv, left)
+                if laps:
+                    period = left_then - left
+                    rows = min(laps * period, left)
+                    tiles.append((done - left, period, rows))
+                    _tile(seg_starts, seg_counts, placed, lap, period, rows)
+                    left -= rows
+                    # Each masked gap moves by its drift per lap.
+                    for t, g in enumerate(key):
+                        if g < 0:
+                            c[t] += laps * (gap[t] - trail[first][t])
+                    trail.clear()
+                    seen.clear()
+                    continue
+            seen[key] = (len(trail), left)
+            trail.append(gap)
             left -= jump
             seg_starts.append(a + s)
             seg_counts.append(jump)
@@ -194,38 +209,97 @@ def _sweep_runs(
             if placed[t]:
                 for h in range(t, t + v):
                     load[h] += placed[t] * u
-    return np.repeat(
+    out = np.repeat(
         np.array(seg_starts, dtype=np.intp), np.array(seg_counts, dtype=np.intp)
     )
+    for first, period, rows in tiles:
+        lap = out[first - period:first]
+        full = rows - rows % period
+        out[first:first + full].reshape(-1, period)[...] = lap
+        out[first + full:first + rows] = lap[:rows - full]
+    return out
+
+
+def _jump(c: List[int], u: int, v: int, left: int) -> Tuple[int, int]:
+    """The first minimum ``s`` of ``c`` and the rows one step places there.
+
+    One row at ``s`` raises ``c[s] - c[s ± d]`` by ``u·min(d, v)``;
+    ``J - 1`` is the least gap over that rate, capped at ``left - 1``, and
+    an earlier candidate must stay strictly above ``c[s]``.
+    """
+    low = min(c)
+    s = c.index(low)
+    uv = u * v
+    more = left - 1
+    for d in range(1, s + 1):
+        if not more:
+            break
+        k = (c[s - d] - low - 1) // (u * d if d < v else uv)
+        if k < more:
+            more = k
+    for d in range(1, len(c) - s):
+        if not more:
+            break
+        k = (c[s + d] - low) // (u * d if d < v else uv)
+        if k < more:
+            more = k
+    return s, more + 1
+
+
+def _safe_laps(
+    key: Tuple[int, ...],
+    gap: List[int],
+    lap: List[List[int]],
+    jumps: List[int],
+    uv: int,
+    most: int,
+) -> int:
+    """How many laps after ``lap`` repeat it exactly, at most ``most``.
+
+    ``lap`` holds the gaps at the lap's step boundaries and ``jumps`` the
+    rows placed from each; ``gap`` is the state one lap on, equal to
+    ``lap[0]`` wherever ``key`` is not masked (-1).  A masked candidate
+    with ``gap_t >= u·v·J + 1`` at a boundary can neither be the first
+    minimum there nor bound its jump ``J``.  Its margin ``m_t`` is the
+    least ``gap_t - u·v·J - 1`` over the lap and its drift ``D_t`` the
+    change of its gap over the lap, so ``l`` more laps repeat the lap
+    while ``m_t + l·D_t >= 0`` for every masked ``t``.  Returns 0 when a
+    margin is negative.
+    """
+    for t, g in enumerate(key):
+        if g < 0:
+            margin = min([row[t] - uv * jump for row, jump in zip(lap, jumps)]) - 1
+            if margin < 0:
+                return 0
+            drift = gap[t] - lap[0][t]
+            if drift < 0 and margin // -drift < most:
+                most = margin // -drift
+    return most
 
 
 def _tile(
     seg_starts: List[int],
     seg_counts: List[int],
     placed: List[int],
-    first: int,
+    lap: int,
     period: int,
-    left: int,
+    rows: int,
 ) -> None:
-    """Repeat the segments from index ``first`` on over ``left`` more rows.
+    """Add ``rows`` rows that repeat the last ``lap`` segments as one block.
 
-    Those segments place ``period`` rows and bring the state back to
-    where it was; ``placed`` counts the rows per start.
+    Those segments place ``period`` rows and bring the state back to where
+    it was, so the rows take their starts lap after lap, the last lap cut
+    short; ``placed`` counts the rows per start.  The block's starts are
+    written once the day's rows are laid out.
     """
-    cycle = list(zip(seg_starts[first:], seg_counts[first:]))
-    laps, rest = divmod(left, period)
+    cycle = list(zip(seg_starts[-lap:], seg_counts[-lap:]))
+    laps, rest = divmod(rows, period)
     for start, count in cycle:
-        placed[start] += laps * count
-    seg_starts.extend([start for start, _ in cycle] * laps)
-    seg_counts.extend([count for _, count in cycle] * laps)
-    for start, count in cycle:
-        if not rest:
-            break
-        count = min(count, rest)
-        rest -= count
-        placed[start] += count
-        seg_starts.append(start)
-        seg_counts.append(count)
+        part = min(count, rest)
+        rest -= part
+        placed[start] += laps * count + part
+    seg_starts.append(cycle[0][0])
+    seg_counts.append(rows)
 
 
 def _sweep_quadratic(

@@ -473,15 +473,16 @@ class StreamIngestor:
         """Record how shard ``index``'s ids route; returns canonical width.
 
         The ids are the generated ``s<index>-hh<row>`` scheme without a
-        parse when the caller vouches for it (``assume_canonical``) or when
-        they are that scheme's :class:`~repro.core.columnar.RowIds` (prefix
-        ``s<index>-hh``, rows ``0..n-1``); otherwise one vectorized parse
-        verifies them, and non-canonical shards get a dictionary instead.
+        parse when there are none, when the caller vouches for them
+        (``assume_canonical``) or when they are that scheme's
+        :class:`~repro.core.columnar.RowIds` (prefix ``s<index>-hh``, rows
+        ``0..n-1``); otherwise one vectorized parse verifies them, and
+        non-canonical shards get a dictionary instead.
         """
         n = len(ids)
         width = len(str(max(1, n) - 1))
         generated = isinstance(ids, RowIds) and ids.prefix == f"s{index}-hh"
-        if not (assume_canonical or generated and ids == RowIds(ids.prefix, n)):
+        if n and not (assume_canonical or generated and ids == RowIds(ids.prefix, n)):
             arr = np.asarray(ids)
             shard, row, row_d, ok = parse_canonical_ids(arr)
             canonical = (

@@ -184,6 +184,42 @@ def run_heavy_problems(draw):
     ])
 
 
+@st.composite
+def preloaded_long_runs(draw):
+    """1-3 runs pile load onto a few hours, then one long run covers them.
+
+    Runs as ``(start, end, duration, rating in quanta, length)``.  The
+    preloads differ from the long run in rating and duration, so its
+    masked gaps drift both ways: some laps are tiled up to a bound, and
+    some fail the check.
+    """
+    v = draw(st.integers(min_value=1, max_value=6))
+    a = draw(st.integers(min_value=0, max_value=HOURS_PER_DAY - v))
+    b = draw(st.integers(min_value=a + v, max_value=HOURS_PER_DAY))
+    runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        pv = draw(st.integers(min_value=1, max_value=min(6, b - a)))
+        pa = draw(st.integers(min_value=a, max_value=b - pv))
+        pb = draw(st.integers(min_value=pa + pv, max_value=min(b, pa + pv + 2)))
+        u = draw(st.integers(min_value=1, max_value=16))
+        runs.append((pa, pb, pv, u, draw(st.integers(min_value=1, max_value=2000))))
+    u = draw(st.integers(min_value=1, max_value=16))
+    runs.append((a, b, v, u, draw(st.integers(min_value=1, max_value=6000))))
+    return runs
+
+
+def _check_run_sweep(runs):
+    """The run sweep on ``(start, end, duration, quanta, length)`` runs
+    against the scalar sweep on their rows."""
+    starts, ends, durations, units, lengths = (list(column) for column in zip(*runs))
+    expected = placement._sweep_quadratic(*(
+        [value for value, length in zip(column, lengths) for _ in range(length)]
+        for column in (starts, ends, durations, [float(u) for u in units])
+    ))
+    placed = placement._sweep_runs(starts, ends, durations, units, lengths)
+    assert placed.tolist() == expected
+
+
 def _columns_in_order(compiled, order):
     return (
         compiled.win_start[order], compiled.win_end[order],
@@ -234,7 +270,7 @@ class TestPlacementBitIdentity:
                 st.integers(min_value=1, max_value=8),
                 st.integers(min_value=0, max_value=12),
                 st.integers(min_value=1, max_value=8),
-                st.integers(min_value=1, max_value=400),
+                st.integers(min_value=1, max_value=3000),
             ),
             min_size=1,
             max_size=8,
@@ -245,22 +281,41 @@ class TestPlacementBitIdentity:
         """The run sweep against the scalar sweep, no selection rule.
 
         Each run is ``(start, duration, slack, rating in quanta, length)``;
-        adjacent runs may repeat a class, and runs of one row occur.
+        adjacent runs may repeat a class, and runs of one row occur.  Runs
+        of thousands of rows tile their laps more than once.
         """
-        starts, ends, durations, units, lengths = [], [], [], [], []
+        clipped = []
         for a, v, slack, u, length in runs:
             v = min(v, HOURS_PER_DAY - a)
-            starts.append(a)
-            ends.append(min(HOURS_PER_DAY, a + v + slack))
-            durations.append(v)
-            units.append(u)
-            lengths.append(length)
-        expected = placement._sweep_quadratic(*(
-            [value for value, length in zip(column, lengths) for _ in range(length)]
-            for column in (starts, ends, durations, [float(u) for u in units])
-        ))
-        placed = placement._sweep_runs(starts, ends, durations, units, lengths)
-        assert placed.tolist() == expected
+            clipped.append((a, min(HOURS_PER_DAY, a + v + slack), v, u, length))
+        _check_run_sweep(clipped)
+
+    def test_drifting_lap_is_tiled(self, monkeypatch):
+        """A lap bounded by a far candidate's drift, then a wider cycle.
+
+        The third run lands on hour 23 in one jump, then alternates hours
+        21 and 23 one row at a time while hour 22's gap of 639 closes by
+        one per lap, and ends in a cycle over all three hours.  Its laps
+        are tiled: about a dozen jumps for the day, where a step per lap
+        takes about 1,280.
+        """
+        steps = []
+        jump = placement._jump
+
+        def counted(*args):
+            steps.append(args)
+            return jump(*args)
+
+        monkeypatch.setattr(placement, "_jump", counted)
+        _check_run_sweep([
+            (22, 23, 1, 1, 1361), (21, 22, 1, 1, 722), (21, 24, 1, 1, 3217)
+        ])
+        assert len(steps) < 20
+
+    @given(preloaded_long_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_preloaded_hours_drift_under_a_long_run(self, runs):
+        _check_run_sweep(runs)
 
     @pytest.mark.parametrize("ratings", [(0.3,), (1.1,), (0.3, 1.1, 2.0)])
     def test_non_dyadic_runs_take_the_scalar_sweep(self, ratings):

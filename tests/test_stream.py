@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.columnar import ColumnarNeighborhood
+from repro.core.columnar import ColumnarNeighborhood, RowIds
 from repro.mechanisms.enki import serving_mechanism
 from repro.robustness.chaos import ChaosInjector, ChaosPlan, ServiceChaosPlan
 from repro.robustness.checkpoint import CheckpointStore
@@ -480,6 +480,51 @@ def test_shard_recipe_registers_without_a_parse(monkeypatch):
     ingestor.flush()
     assert sealed == [3, 5]
     assert ingestor.stats.unknown_rejected == 0
+
+
+@pytest.mark.parametrize("replayed", [False, True])
+def test_empty_id_vector_registers_like_the_empty_recipe(replayed):
+    # An empty id vector has nothing to parse: it registers as the empty
+    # ``s0-hh`` recipe does, for a live shard and for a replayed one.
+    empty = np.zeros(0)
+    job = ShardJob(
+        index=0,
+        neighborhood=ColumnarNeighborhood(
+            ids=(), true_start=empty.astype(int), true_end=empty.astype(int),
+            duration=empty.astype(int), rating=empty, valuation=empty,
+        ),
+        seed=0, begin=empty, end=empty, duration=empty,
+    )
+    neighborhood, shard_seed = sample_shard(root_entropy(SEED), 1, 6)
+    nan = np.full(len(neighborhood), np.nan)
+    begin, end, duration = neighborhood.truthful_wire()
+    chunk = ReportChunk(
+        np.asarray([*neighborhood.ids, "s0-hh0", "s0-hh00"]),
+        np.append(begin, [1.0, 1.0]),
+        np.append(end, [9.0, 9.0]),
+        np.append(duration, [2.0, 2.0]),
+    )
+    stats = []
+    for ids in ((), RowIds("s0-hh", 0)):
+        ingestor = StreamIngestor(
+            queue=BoundedIngestQueue(capacity=4),
+            enqueue=lambda index, job: None,
+            flush_age_s=None,
+        )
+        if replayed:
+            ingestor.register_replayed(0, ids)
+        else:
+            ingestor.register(0, job, ids)
+        ingestor.register(1, ShardJob(
+            index=1, neighborhood=neighborhood, seed=shard_seed,
+            begin=nan.copy(), end=nan.copy(), duration=nan.copy(),
+        ), neighborhood.ids)
+        ingestor.submit(chunk)
+        ingestor.flush()
+        stats.append(ingestor.stats)
+    assert stats[0] == stats[1]
+    assert stats[0].unknown_rejected == 2
+    assert stats[0].shards_completed == 1
 
 
 # -------------------------------------------------------------- assembler
